@@ -183,7 +183,7 @@ class Network {
   std::vector<NodeId> neighbors_naive(NodeId id) const;
 
   /// Flat CSR adjacency of the whole deployment, built lazily once per
-  /// (topology, liveness) version and shared by Dijkstra, SinkTree
+  /// (topology, liveness) version and shared by the route search, SinkTree
   /// construction and flooding.  Valid until the next topology bump or
   /// battery death.
   const TopologySnapshot& topology_snapshot() const;
@@ -191,6 +191,10 @@ class Network {
   /// The deployment's shortest-path cache (see net::cached_shortest_path).
   /// Mutable through a const network: caching never changes answers.
   RouteCache& route_cache() const { return route_cache_; }
+
+  /// Scratch arrays reused by every net::shortest_path search on this
+  /// network (single-threaded, like the rest of the acceleration state).
+  RouteScratch& route_scratch() const { return route_scratch_; }
 
   /// The link class a transmission a->b would use (wired link preferred).
   std::optional<LinkClass> link_between(NodeId a, NodeId b) const;
@@ -392,6 +396,7 @@ class Network {
   mutable TopologySnapshot snapshot_;
   mutable bool snapshot_built_ = false;
   mutable RouteCache route_cache_;
+  mutable RouteScratch route_scratch_;
   mutable std::vector<NodeId> scratch_;  ///< candidate buffer (single-threaded)
   mutable TopologyStats topo_stats_;
 

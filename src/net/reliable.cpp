@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "net/flow.hpp"
@@ -70,7 +71,7 @@ void ReliableChannel::begin(const std::shared_ptr<Transfer>& t) {
   telemetry::TraceScope scope(network_.simulator(), t->trace);
   const sim::SimTime now = network_.simulator().now();
   if (t->src == t->dst) {
-    if (accept(t, t->dst) && probe_) probe_(t->dst, t->seq);
+    if (accept(*t, t->dst) && probe_) probe_(t->dst, t->seq);
     finish(t, true);
     return;
   }
@@ -146,7 +147,7 @@ void ReliableChannel::hop_cycle(const std::shared_ptr<Transfer>& t) {
     // Receiver side: first acceptance forwards (and, at the destination,
     // counts as THE delivery); a retransmission after a lost ACK is
     // suppressed and only re-acknowledged.
-    if (accept(t, hop_to)) {
+    if (accept(*t, hop_to)) {
       if (hop_to == t->dst && probe_) probe_(t->dst, t->seq);
     } else {
       ++stats_.duplicates_suppressed;
@@ -268,9 +269,13 @@ void ReliableChannel::finish(const std::shared_ptr<Transfer>& t,
   if (done) done(delivered);
 }
 
-bool ReliableChannel::accept(const std::shared_ptr<Transfer>& t, NodeId node) {
-  const std::uint64_t key = (t->seq << 32) | node;
-  return seen_.insert(key).second;
+bool ReliableChannel::accept(Transfer& t, NodeId node) {
+  if (std::find(t.accepted.begin(), t.accepted.end(), node) !=
+      t.accepted.end()) {
+    return false;
+  }
+  t.accepted.push_back(node);
+  return true;
 }
 
 sim::SimTime ReliableChannel::backoff_delay(std::size_t attempt) {

@@ -10,10 +10,10 @@
 //
 //   - ReliableChannel: per-hop data/ACK cycles with exponential backoff and
 //     deterministic seeded jitter, a bounded in-flight window per endpoint
-//     pair, duplicate suppression by (sequence, receiver), and breaker-aware
-//     re-routing around failing links.  Every retransmission is charged to
-//     the ledger under the originating trace (the kernel propagates the
-//     trace along the causal event chain).
+//     pair, per-transfer duplicate suppression at each receiver, and
+//     breaker-aware re-routing around failing links.  Every retransmission
+//     is charged to the ledger under the originating trace (the kernel
+//     propagates the trace along the causal event chain).
 //   - Budget: an absolute deadline carried down the causal chain (executor
 //     -> composition -> agents -> sensornet), so retries and re-discovery
 //     stop the moment the budget is blown instead of burning energy past
@@ -32,7 +32,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -326,6 +325,10 @@ class ReliableChannel {
     /// Links currently held packet-forced in the flow model (flow traffic
     /// must not skim links whose ACK/retransmit semantics are in flight).
     std::vector<NodeId> forced_route;
+    /// Receivers that already accepted this payload.  `seq` is unique per
+    /// transfer, so this is exactly the (seq, receiver) duplicate set, and
+    /// it dies with the transfer.
+    std::vector<NodeId> accepted;
   };
 
   struct PairState {
@@ -344,8 +347,9 @@ class ReliableChannel {
   /// overlapping transfers compose; re-marking first releases the old route.
   void mark_route(const std::shared_ptr<Transfer>& t);
   void unmark_route(const std::shared_ptr<Transfer>& t);
-  /// First acceptance of `seq` at `node`?  (False => duplicate, re-ACK only.)
-  bool accept(const std::shared_ptr<Transfer>& t, NodeId node);
+  /// First acceptance of the payload at `node`?  (False => duplicate,
+  /// re-ACK only.)
+  static bool accept(Transfer& t, NodeId node);
   sim::SimTime backoff_delay(std::size_t attempt);
   /// Min-hop BFS over the topology snapshot, skipping links whose breaker
   /// is open (cooling).  Deterministic: ascending-id adjacency rows.
@@ -367,8 +371,6 @@ class ReliableChannel {
   ReliableStats stats_;
   DeliveryProbe probe_;
   std::uint64_t next_seq_ = 1;
-  /// (seq << 32) | receiver: payloads already accepted there.
-  std::unordered_set<std::uint64_t> seen_;
   std::map<std::uint64_t, PairState> pairs_;
 };
 

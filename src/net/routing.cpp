@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <tuple>
 
 namespace pgrid::net {
 
@@ -10,13 +11,62 @@ namespace {
 
 constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
 
-/// Dijkstra with cost = (hops, total distance), parameterized over an
-/// adjacency source so the snapshot-backed fast path and the naive oracle
-/// expand nodes identically: `for_each_edge(at, fn)` must invoke
-/// `fn(next, hop_distance)` in ascending-`next` order.
-template <typename ForEachEdge>
-std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
-                             ForEachEdge&& for_each_edge) {
+}  // namespace
+
+std::vector<NodeId> shortest_path(const Network& network, NodeId src,
+                                  NodeId dst) {
+  const std::size_t n = network.size();
+  if (src >= n || dst >= n || !network.alive(src) || !network.alive(dst)) {
+    return {};
+  }
+  if (src == dst) return {src};
+
+  // Hops dominate the cost, so nodes settle one BFS layer at a time and no
+  // heap is needed.  Within a layer the predecessor of v is the previous-
+  // layer neighbour u minimising (g(u) + d(u, v), g(u), u): exactly the
+  // relaxation that wins first in the heap's (hops, distance, id) pop order.
+  const TopologySnapshot& topo = network.topology_snapshot();
+  RouteScratch& scratch = network.route_scratch();
+  scratch.begin(n);
+  auto& slots = scratch.slots;
+  slots[src] = {scratch.first, kInvalidNode, 0.0};
+  scratch.layer.assign(1, src);
+  std::uint32_t stamp = scratch.first;  // first + hop count of the frontier
+  while (!scratch.layer.empty() && !scratch.reached(dst)) {
+    ++stamp;
+    scratch.next.clear();
+    for (NodeId u : scratch.layer) {
+      const double gu = slots[u].dist;
+      const auto row = topo.row(u);
+      const auto dist = topo.row_distance(u);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const NodeId v = row[i];
+        const double g = gu + dist[i];
+        RouteScratch::Slot& slot = slots[v];
+        if (!scratch.reached(v)) {
+          slot = {stamp, u, g};
+          scratch.next.push_back(v);
+        } else if (slot.stamp == stamp &&
+                   std::tie(g, gu, u) <
+                       std::tie(slot.dist, slots[slot.prev].dist, slot.prev)) {
+          slot.prev = u;
+          slot.dist = g;
+        }
+      }
+    }
+    scratch.layer.swap(scratch.next);
+  }
+  if (!scratch.reached(dst)) return {};
+  std::vector<NodeId> route(scratch.hops(dst) + 1);
+  NodeId at = dst;
+  for (std::size_t i = route.size(); i-- > 0; at = slots[at].prev) {
+    route[i] = at;
+  }
+  return route;
+}
+
+std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
+                                        NodeId dst) {
   const std::size_t n = network.size();
   if (src >= n || dst >= n || !network.alive(src) || !network.alive(dst)) {
     return {};
@@ -36,14 +86,15 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
     pq.pop();
     if (cost > best[at]) continue;
     if (at == dst) break;
-    for_each_edge(at, [&](NodeId next, double d) {
+    for (NodeId next : network.neighbors_naive(at)) {
+      const double d = distance(network.node(at).pos, network.node(next).pos);
       Cost candidate{cost.first + 1, cost.second + d};
       if (candidate < best[next]) {
         best[next] = candidate;
         prev[next] = at;
         pq.push({candidate, next});
       }
-    });
+    }
   }
 
   if (best[dst].first == kUnreachable) return {};
@@ -55,27 +106,6 @@ std::vector<NodeId> dijkstra(const Network& network, NodeId src, NodeId dst,
   std::reverse(route.begin(), route.end());
   if (route.front() != src) return {};
   return route;
-}
-
-}  // namespace
-
-std::vector<NodeId> shortest_path(const Network& network, NodeId src,
-                                  NodeId dst) {
-  const TopologySnapshot& topo = network.topology_snapshot();
-  return dijkstra(network, src, dst, [&topo](NodeId at, auto&& visit) {
-    const auto row = topo.row(at);
-    const auto dist = topo.row_distance(at);
-    for (std::size_t i = 0; i < row.size(); ++i) visit(row[i], dist[i]);
-  });
-}
-
-std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
-                                        NodeId dst) {
-  return dijkstra(network, src, dst, [&network](NodeId at, auto&& visit) {
-    for (NodeId next : network.neighbors_naive(at)) {
-      visit(next, distance(network.node(at).pos, network.node(next).pos));
-    }
-  });
 }
 
 std::vector<NodeId> cached_shortest_path(const Network& network, NodeId src,

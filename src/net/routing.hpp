@@ -16,18 +16,26 @@
 
 namespace pgrid::net {
 
-/// Dijkstra shortest path by hop count with distance tie-break.  Returns an
-/// empty vector when no route exists.  Both endpoints are included.
-/// Iterates the network's shared TopologySnapshot (CSR adjacency built
-/// lazily once per topology/liveness version) instead of re-deriving
-/// connectivity per expanded node.
+/// Shortest path under the lexicographic cost (hops, total distance).
+/// Returns an empty vector when no route exists (or either endpoint is dead
+/// or out of range); both endpoints are included, and src == dst yields
+/// {src}.  Exact tie-break: the predecessor of every node v at hop count
+/// h(v) is the neighbour u at hop count h(v) - 1 minimising
+/// (g(u) + d(u, v), g(u), u), where g is the total distance of u's own
+/// chosen path and d the hop distance — the order in which a binary-heap
+/// Dijkstra over ascending-id adjacency would first relax v.  The search
+/// runs one BFS layer at a time over the network's shared
+/// TopologySnapshot, stops after the layer that reaches dst, and reuses
+/// the network's RouteScratch, so it needs no heap and no per-call
+/// allocation beyond the returned route.
 std::vector<NodeId> shortest_path(const Network& network, NodeId src,
                                   NodeId dst);
 
-/// Reference implementation of shortest_path() over the naive O(N)
-/// neighbour scan, bypassing the spatial index, snapshot and cache.  Kept
-/// as the oracle for the topology property tests and the bench baseline;
-/// answers are always identical to shortest_path().
+/// Reference implementation of shortest_path(): a binary-heap Dijkstra
+/// over the naive O(N) neighbour scan, bypassing the spatial index,
+/// snapshot, scratch and cache.  Kept as the oracle for the topology
+/// property tests and the bench baseline; answers are always identical to
+/// shortest_path().
 std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
                                         NodeId dst);
 
@@ -41,7 +49,7 @@ std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
 /// hop-by-hop against live connectivity before being served.  This is the
 /// hot entry point for the agent platform's envelope delivery and the
 /// sensornet unicast paths, where message bursts between the same
-/// endpoints amortize one Dijkstra.
+/// endpoints amortize one route search.
 std::vector<NodeId> cached_shortest_path(const Network& network, NodeId src,
                                          NodeId dst);
 

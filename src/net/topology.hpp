@@ -13,13 +13,13 @@
 //    mobility moves instead of rebuilt, so a neighbour query inspects only
 //    the 3x3x3 cell block around a node.
 //  - TopologySnapshot: a CSR-style flat adjacency built lazily once per
-//    (topology, liveness) version and shared by Dijkstra, SinkTree
+//    (topology, liveness) version and shared by the route search, SinkTree
 //    construction and flooding, so multi-node algorithms stop re-deriving
 //    connectivity (distance + wired scan + fault-injector probe) per edge
 //    per query.
 //  - RouteCache: a bounded LRU of shortest-path results, valid for exactly
 //    one (topology, liveness) version pair, so message bursts between the
-//    same endpoints amortize one Dijkstra.
+//    same endpoints amortize one route search.
 //
 // None of these structures draws randomness or changes answers: they are
 // exact accelerators over Network::connected(), and the property suite
@@ -103,8 +103,9 @@ class SpatialGrid {
 /// version: row(id) lists the nodes directly reachable from `id`, in
 /// ascending id order (the iteration-order contract of
 /// Network::neighbors()), with the matching hop distances alongside for
-/// Dijkstra's tie-break.  Built lazily by Network::topology_snapshot();
-/// any topology bump or battery death invalidates it.
+/// the route search's distance tie-break.  Built lazily by
+/// Network::topology_snapshot(); any topology bump or battery death
+/// invalidates it.
 struct TopologySnapshot {
   std::uint64_t topology_version = 0;
   std::uint64_t liveness_version = 0;
@@ -129,6 +130,41 @@ struct TopologySnapshot {
   }
 };
 
+/// Reusable per-network scratch for the layered route search
+/// (net::shortest_path).  Each search reserves a fresh stamp range
+/// [first, last] and stamps a node `first + hop count` when it reaches it,
+/// so every stamp left by an earlier search reads as unreached: a search
+/// touches only the nodes it reaches and never clears an O(n) array.  The
+/// stamps are re-zeroed only when the 32-bit range runs out.
+struct RouteScratch {
+  struct Slot {
+    std::uint32_t stamp = 0;
+    NodeId prev = kInvalidNode;
+    double dist = 0.0;  ///< total distance along the chosen path
+  };
+
+  std::uint32_t first = 0;  ///< stamp of the current search's source
+  std::uint32_t last = 0;   ///< highest stamp the current search may use
+  std::vector<Slot> slots;  ///< indexed by NodeId
+  std::vector<NodeId> layer;  ///< nodes settled at the current hop count
+  std::vector<NodeId> next;   ///< nodes discovered one hop further
+
+  /// Starts a search over `n` nodes (growing the slots if needed); hop
+  /// counts stay below n, so the search needs at most n stamps.
+  void begin(std::size_t n) {
+    if (slots.size() < n) slots.resize(n);
+    const auto span = static_cast<std::uint32_t>(n);
+    if (last > std::numeric_limits<std::uint32_t>::max() - span - 1) {
+      for (Slot& slot : slots) slot.stamp = 0;
+      last = 0;
+    }
+    first = last + 1;
+    last = first + span;
+  }
+  bool reached(NodeId id) const { return slots[id].stamp >= first; }
+  std::uint32_t hops(NodeId id) const { return slots[id].stamp - first; }
+};
+
 /// Bounded LRU cache of shortest-path results, keyed by (src, dst) and
 /// valid for exactly one (topology, liveness) version pair.  Under the
 /// legacy discipline any version change empties it wholesale; under
@@ -136,7 +172,7 @@ struct TopologySnapshot {
 /// advance_epoch() with the set of dirty rows, and only the entries a
 /// change could possibly affect are dropped.  Failed lookups (empty
 /// routes) are cached too: "no route" is as deterministic as a route, and
-/// recomputing it is the most expensive Dijkstra of all.
+/// recomputing it is the most expensive route search of all.
 class RouteCache {
  public:
   struct Stats {

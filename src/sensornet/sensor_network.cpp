@@ -84,11 +84,11 @@ double SensorNetwork::building_depth_m() const {
   return static_cast<double>(config_.floors) * config_.floor_height_m;
 }
 
-const net::SinkTree& SensorNetwork::tree() {
+const std::shared_ptr<const net::SinkTree>& SensorNetwork::current_tree() {
   if (!tree_ || tree_->built_at_version() != network_.topology_version()) {
-    tree_ = std::make_unique<net::SinkTree>(network_, base_);
+    tree_ = std::make_shared<const net::SinkTree>(network_, base_);
   }
-  return *tree_;
+  return tree_;
 }
 
 std::size_t SensorNetwork::alive_sensors() const {
@@ -149,6 +149,33 @@ std::vector<std::pair<net::NodeId, double>> qualifying_samples(
   }
   return out;
 }
+
+/// One TAG round's working state, dense by NodeId.  Qualifying sensors in
+/// the tree start with their own sample; every other tree node (and the
+/// base) starts empty and only relays what its children deliver.
+struct TreeRound {
+  std::vector<AggregateState> states;      ///< partial state per node
+  std::vector<std::size_t> contributions;  ///< readings each state holds
+  std::size_t expected = 0;                ///< qualifying sensors in the tree
+  /// Non-base tree nodes by depth: TAG's epoch schedule transmits the
+  /// deepest level first, so parents hold complete subtree states when
+  /// their turn comes.
+  std::vector<std::vector<net::NodeId>> levels;
+
+  TreeRound(const net::SinkTree& tree, net::NodeId base, std::size_t nodes,
+            const std::vector<std::pair<net::NodeId, double>>& qualified)
+      : states(nodes), contributions(nodes, 0), levels(tree.max_depth() + 1) {
+    for (const auto& [sensor, value] : qualified) {
+      if (!tree.contains(sensor)) continue;
+      states[sensor].add(value);
+      contributions[sensor] = 1;
+      ++expected;
+    }
+    for (net::NodeId id : tree.bfs_order()) {
+      if (id != base) levels[tree.depth(id)].push_back(id);
+    }
+  }
+};
 }  // namespace
 
 void SensorNetwork::collect_all_to_base(const ScalarField& field,
@@ -212,47 +239,21 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
     flow.note_packet_fallback();
   }
   auto round = begin_round(std::move(done));
-  // Snapshot the tree: topology churn mid-round must not invalidate the
-  // schedule this round was built against.
-  auto routing_tree = std::make_shared<net::SinkTree>(tree());
-  const auto qualified = qualifying_samples(*this, field, filter);
-
-  // Per-node partial states; qualifying sensors contribute their sample.
-  // Non-qualifying tree nodes still relay their children's states.
-  auto states = std::make_shared<std::map<net::NodeId, AggregateState>>();
-  auto contributions =
-      std::make_shared<std::map<net::NodeId, std::size_t>>();
-  std::size_t expected = 0;
-  for (const auto& [sensor, value] : qualified) {
-    if (!routing_tree->contains(sensor)) continue;
-    AggregateState state;
-    state.add(value);
-    (*states)[sensor] = state;
-    (*contributions)[sensor] = 1;
-    ++expected;
-  }
-  round->result.expected = expected;
-
-  // Group by depth; transmit deepest level first so parents hold complete
-  // subtree states when their turn comes (TAG's epoch schedule).
-  const std::size_t deepest = routing_tree->max_depth();
-  auto levels = std::make_shared<std::vector<std::vector<net::NodeId>>>();
-  levels->resize(deepest + 1);
-  for (net::NodeId id : routing_tree->bfs_order()) {
-    if (id == base_) continue;
-    (*levels)[routing_tree->depth(id)].push_back(id);
-  }
+  // Hold the tree this round was scheduled against: topology churn
+  // mid-round rebuilds tree_, but never the tree an in-flight round uses.
+  std::shared_ptr<const net::SinkTree> routing_tree = current_tree();
+  auto tag = std::make_shared<TreeRound>(
+      *routing_tree, base_, network_.size(),
+      qualifying_samples(*this, field, filter));
+  round->result.expected = tag->expected;
 
   auto run_level = std::make_shared<std::function<void(std::size_t)>>();
-  *run_level = [this, round, states, contributions, levels, run_level,
-                routing_tree, budget](std::size_t depth) {
+  *run_level = [this, round, tag, run_level, routing_tree,
+                budget](std::size_t depth) {
     if (depth == 0) {
       // All partial states have arrived at (or failed before) the base.
-      auto it = states->find(base_);
-      if (it != states->end()) round->result.aggregate = it->second;
-      auto contributed = contributions->find(base_);
-      round->result.reports =
-          contributed == contributions->end() ? 0 : contributed->second;
+      round->result.aggregate = tag->states[base_];
+      round->result.reports = tag->contributions[base_];
       finish_round(round);
       // `*run_level` captures `run_level`; break the cycle (deferred:
       // destroying the std::function currently executing is UB).
@@ -260,7 +261,7 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
                                     [run_level] { *run_level = nullptr; });
       return;
     }
-    const auto& level_nodes = (*levels)[depth];
+    const auto& level_nodes = tag->levels[depth];
     auto pending = std::make_shared<std::size_t>(level_nodes.size());
     if (level_nodes.empty()) {
       (*run_level)(depth - 1);
@@ -268,23 +269,19 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
     }
     for (net::NodeId id : level_nodes) {
       const net::NodeId parent = routing_tree->parent(id);
-      auto state_it = states->find(id);
-      const bool has_state =
-          state_it != states->end() && state_it->second.count > 0;
       auto advance = [this, pending, run_level, depth] {
         if (--*pending == 0) (*run_level)(depth - 1);
       };
-      if (!has_state || !network_.alive(id)) {
+      if (tag->states[id].count == 0 || !network_.alive(id)) {
         network_.simulator().schedule(sim::SimTime::zero(), advance);
         continue;
       }
-      const AggregateState to_send = state_it->second;
-      const std::size_t contributed = (*contributions)[id];
-      auto complete = [states, contributions, parent, to_send, contributed,
-                       advance](bool ok) {
+      const AggregateState to_send = tag->states[id];
+      const std::size_t contributed = tag->contributions[id];
+      auto complete = [tag, parent, to_send, contributed, advance](bool ok) {
         if (ok) {
-          (*states)[parent].merge(to_send);
-          (*contributions)[parent] += contributed;
+          tag->states[parent].merge(to_send);
+          tag->contributions[parent] += contributed;
         }
         advance();
       };
@@ -299,6 +296,7 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
       }
     }
   };
+  const std::size_t deepest = routing_tree->max_depth();
   if (deepest == 0) {
     network_.simulator().schedule(sim::SimTime::zero(),
                                   [this, round] { finish_round(round); });
@@ -313,31 +311,15 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
   auto round = begin_round(std::move(done));
   net::FlowModel& flow = *network_.flow_model();
   const net::SinkTree& routing_tree = tree();
-  const auto qualified = qualifying_samples(*this, field, filter);
-
-  std::map<net::NodeId, AggregateState> states;
-  std::map<net::NodeId, std::size_t> contributions;
-  std::size_t expected = 0;
-  for (const auto& [sensor, value] : qualified) {
-    if (!routing_tree.contains(sensor)) continue;
-    AggregateState state;
-    state.add(value);
-    states[sensor] = state;
-    contributions[sensor] = 1;
-    ++expected;
-  }
-  round->result.expected = expected;
+  TreeRound tag(routing_tree, base_, network_.size(),
+                qualifying_samples(*this, field, filter));
+  round->result.expected = tag.expected;
 
   const std::size_t deepest = routing_tree.max_depth();
   if (deepest == 0) {
     network_.simulator().schedule(sim::SimTime::zero(),
                                   [this, round] { finish_round(round); });
     return;
-  }
-  std::vector<std::vector<net::NodeId>> levels(deepest + 1);
-  for (net::NodeId id : routing_tree.bfs_order()) {
-    if (id == base_) continue;
-    levels[routing_tree.depth(id)].push_back(id);
   }
 
   // TAG's epoch schedule, resolved analytically: per level (deepest first),
@@ -348,10 +330,8 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
   double total_us = 0.0;
   for (std::size_t depth = deepest; depth >= 1; --depth) {
     std::vector<net::NodeId> transmitters;
-    for (net::NodeId id : levels[depth]) {
-      auto it = states.find(id);
-      if (it == states.end() || it->second.count == 0) continue;
-      if (!network_.alive(id)) continue;
+    for (net::NodeId id : tag.levels[depth]) {
+      if (tag.states[id].count == 0 || !network_.alive(id)) continue;
       transmitters.push_back(id);
     }
     if (transmitters.empty()) continue;
@@ -368,8 +348,8 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
       bool ok = flow.rng().uniform01() < hop.success_p;
       ok = flow.charge_hop(id, parent, config_.state_bytes, hop, ok) && ok;
       if (ok) {
-        states[parent].merge(states[id]);
-        contributions[parent] += contributions[id];
+        tag.states[parent].merge(tag.states[id]);
+        tag.contributions[parent] += tag.contributions[id];
       }
       const double slowest = net::FlowModel::expected_max_attempts(
           n, hop.loss_p, network_.max_retries());
@@ -379,12 +359,8 @@ void SensorNetwork::collect_tree_flow(const ScalarField& field,
     total_us += level_us;
   }
 
-  AggregateState aggregate;
-  if (auto it = states.find(base_); it != states.end()) aggregate = it->second;
-  std::size_t reports = 0;
-  if (auto it = contributions.find(base_); it != contributions.end()) {
-    reports = it->second;
-  }
+  const AggregateState aggregate = tag.states[base_];
+  const std::size_t reports = tag.contributions[base_];
   flow.note_tree_epoch();
   network_.simulator().schedule(
       sim::SimTime::microseconds(
@@ -405,7 +381,7 @@ void SensorNetwork::collect_clustered(const ScalarField& field, std::size_t k,
   auto clusters = std::make_shared<std::vector<Cluster>>(
       form_clusters(network_, sensors_, k, rng_));
   const auto qualified = qualifying_samples(*this, field, filter);
-  std::map<net::NodeId, double> values;
+  std::vector<std::optional<double>> values(network_.size());
   for (const auto& [sensor, value] : qualified) values[sensor] = value;
   round->result.expected = qualified.size();
 
@@ -473,9 +449,8 @@ void SensorNetwork::collect_clustered(const ScalarField& field, std::size_t k,
   for (std::size_t c = 0; c < clusters->size(); ++c) {
     const Cluster& cluster = (*clusters)[c];
     for (net::NodeId member : cluster.members) {
-      auto value_it = values.find(member);
-      if (value_it == values.end()) continue;  // dead or filtered out
-      const double value = value_it->second;
+      if (!values[member]) continue;  // dead or filtered out
+      const double value = *values[member];
       if (member == cluster.head) {
         (*head_states)[c].add(value);
         ++(*head_reports)[c];

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -138,7 +137,7 @@ class SensorNetwork {
   double building_depth_m() const;
 
   /// Sink tree rooted at the base station, rebuilt on topology change.
-  const net::SinkTree& tree();
+  const net::SinkTree& tree() { return *current_tree(); }
 
   /// Count of sensors currently alive.
   std::size_t alive_sensors() const;
@@ -180,6 +179,10 @@ class SensorNetwork {
 
  private:
   struct RoundState;
+  /// The current sink tree, rebuilt when the topology version moved.  The
+  /// tree is immutable once built, so an in-flight TAG round keeps its own
+  /// reference while later calls swap in a fresh one.
+  const std::shared_ptr<const net::SinkTree>& current_tree();
   std::shared_ptr<RoundState> begin_round(CollectCallback done);
   void finish_round(const std::shared_ptr<RoundState>& round);
   /// Whole-subtree analytic TAG epoch (net/flow.hpp): per-edge outcomes and
@@ -200,7 +203,7 @@ class SensorNetwork {
   std::vector<net::NodeId> sensors_;
   net::NodeId base_ = net::kInvalidNode;
   net::ReliableChannel* reliable_ = nullptr;
-  std::unique_ptr<net::SinkTree> tree_;
+  std::shared_ptr<const net::SinkTree> tree_;
 };
 
 }  // namespace pgrid::sensornet

@@ -362,6 +362,29 @@ TEST(ReliabilityProperty, DifferentSeedsDiverge) {
       << "distinct seeds should produce distinct fault/retransmit timelines";
 }
 
+TEST(ReliabilityProperty, PerTransferDedupMatchesChannelWideSetCounters) {
+  // Duplicate suppression lives on each transfer (the receivers that have
+  // accepted its payload); the channel keeps nothing once a transfer
+  // finishes.  Because a sequence number names exactly one transfer, this
+  // must suppress exactly what a channel-wide (seq, receiver) set did.  The
+  // pinned counters are what that set produced for this seed, whose lost
+  // ACKs force re-received payloads.
+  const auto result = run_chaos_scenario(1);
+  EXPECT_GT(result.stats.duplicates_suppressed, 0u);
+
+  std::map<std::uint64_t, int> probes_per_seq;
+  for (const auto& [when, seq] : result.delivery_log) ++probes_per_seq[seq];
+  EXPECT_EQ(probes_per_seq.size(), result.done_counts.size())
+      << "every transfer reached its destination once";
+  for (const auto& [seq, count] : probes_per_seq) {
+    EXPECT_EQ(count, 1) << "destination probe fired twice for seq " << seq;
+  }
+
+  EXPECT_EQ(result.stats.delivered, 24u);
+  EXPECT_EQ(result.stats.duplicates_suppressed, 13u);
+  EXPECT_EQ(result.stats.ack_frames, 141u);
+}
+
 // ---------------------------------------------------------------------------
 // Property 3 (channel level): open link breakers short-circuit sends until
 // the half-open probe succeeds

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -271,6 +272,122 @@ TEST_P(TopologyProperty, SinkTreeMaxDepthMatchesDepthScan) {
     if (tree.contains(id)) deepest = std::max(deepest, tree.depth(id));
   }
   EXPECT_EQ(tree.max_depth(), deepest);
+}
+
+// ---------------------------------------------------------------------------
+// The layered route search on exact ties, degenerate endpoints and reused
+// scratch
+// ---------------------------------------------------------------------------
+
+/// A square deploy_grid mesh of side x side mains-powered sensors exactly
+/// `spacing` metres apart.  At 18 m only the 4-neighbours are in radio
+/// range (the diagonal is 25.5 m against a 25 m range), at 16 m the
+/// diagonals join.  Either way every pair a few hops apart is joined by
+/// many paths with the same (hops, distance), so only the tie-break
+/// decides the route.
+std::vector<NodeId> tie_mesh(Network& net, std::size_t side, double spacing) {
+  NodeConfig config;
+  config.kind = NodeKind::kSensor;
+  config.radio = LinkClass::sensor_radio();
+  config.unlimited_energy = true;
+  const double extent = spacing * static_cast<double>(side - 1);
+  return deploy_grid(net, side * side, extent, extent, config);
+}
+
+void expect_all_pairs_match_oracle(const Network& net) {
+  for (NodeId src = 0; src < net.size(); ++src) {
+    for (NodeId dst = 0; dst < net.size(); ++dst) {
+      ASSERT_EQ(shortest_path(net, src, dst), oracle_route(net, src, dst))
+          << src << " -> " << dst;
+    }
+  }
+}
+
+TEST(LayeredRouteSearch, RegularMeshTiesMatchOracle) {
+  for (const double spacing : {18.0, 16.0}) {
+    sim::Simulator sim;
+    Network net(sim, common::Rng(1));
+    const auto ids = tie_mesh(net, 7, spacing);
+    // Corner to corner: 12 hops on the 4-neighbour lattice (924 tied
+    // paths), 6 diagonal hops once diagonals are in range.
+    EXPECT_EQ(shortest_path(net, ids.front(), ids.back()).size(),
+              spacing == 18.0 ? 13u : 7u);
+    expect_all_pairs_match_oracle(net);
+  }
+}
+
+TEST(LayeredRouteSearch, DeadNodesUnreachableAndDegenerateEndpoints) {
+  sim::Simulator sim;
+  Network net(sim, common::Rng(2));
+  const auto ids = tie_mesh(net, 7, 18.0);
+  const auto at = [&ids](std::size_t row, std::size_t col) {
+    return ids[row * 7 + col];
+  };
+  // A dead wall down column 3 with one gap: every east-west route squeezes
+  // through row 5.
+  for (std::size_t row = 0; row < 7; ++row) {
+    if (row != 5) net.set_node_up(at(row, 3), false);
+  }
+  expect_all_pairs_match_oracle(net);
+  const auto squeezed = shortest_path(net, at(0, 0), at(0, 6));
+  ASSERT_FALSE(squeezed.empty());
+  EXPECT_NE(std::find(squeezed.begin(), squeezed.end(), at(5, 3)),
+            squeezed.end());
+
+  // Closing the gap cuts the mesh in two: the east half is unreachable.
+  net.set_node_up(at(5, 3), false);
+  EXPECT_TRUE(shortest_path(net, at(0, 0), at(0, 6)).empty());
+  expect_all_pairs_match_oracle(net);
+
+  // src == dst: the one-node route when alive, nothing when dead.
+  EXPECT_EQ(shortest_path(net, at(0, 0), at(0, 0)),
+            std::vector<NodeId>{at(0, 0)});
+  EXPECT_TRUE(shortest_path(net, at(0, 3), at(0, 3)).empty());
+  // Dead and out-of-range endpoints.
+  EXPECT_TRUE(shortest_path(net, at(0, 3), at(0, 0)).empty());
+  EXPECT_TRUE(shortest_path(net, at(0, 0), at(0, 3)).empty());
+  const auto past = static_cast<NodeId>(net.size());
+  EXPECT_TRUE(shortest_path(net, past, at(0, 0)).empty());
+  EXPECT_TRUE(shortest_path(net, at(0, 0), past).empty());
+  EXPECT_TRUE(shortest_path(net, kInvalidNode, kInvalidNode).empty());
+}
+
+TEST(LayeredRouteSearch, ScratchResizedAndReusedAcrossNetworks) {
+  sim::Simulator sim;
+  Network small(sim, common::Rng(3));
+  Network large(sim, common::Rng(4));
+  tie_mesh(small, 4, 16.0);
+  tie_mesh(large, 9, 18.0);
+  common::Rng pairs(5);
+  NodeConfig extra;
+  extra.kind = NodeKind::kSensor;
+  extra.radio = LinkClass::sensor_radio();
+  extra.unlimited_energy = true;
+  for (int round = 0; round < 4; ++round) {
+    // Back-to-back searches alternate between the two networks, including
+    // ids one past the end.
+    for (int probe = 0; probe < 40; ++probe) {
+      for (Network* net : {&small, &large}) {
+        const auto src = static_cast<NodeId>(pairs.index(net->size() + 1));
+        const auto dst = static_cast<NodeId>(pairs.index(net->size() + 1));
+        ASSERT_EQ(shortest_path(*net, src, dst), oracle_route(*net, src, dst))
+            << "round " << round << ": " << src << " -> " << dst << " on "
+            << net->size() << " nodes";
+      }
+    }
+    // Grow the small mesh along its top edge: its scratch must resize.
+    extra.pos = {16.0 * round, 64.0, 0.0};
+    small.add_node(extra);
+  }
+  expect_all_pairs_match_oracle(small);
+  EXPECT_EQ(small.route_scratch().slots.size(), small.size());
+
+  // Exhaust the stamp range: the next search must re-zero the stamps
+  // rather than mistake an earlier search's marks for its own.
+  RouteScratch& scratch = large.route_scratch();
+  scratch.last = std::numeric_limits<std::uint32_t>::max() - 2;
+  expect_all_pairs_match_oracle(large);
+  EXPECT_LT(scratch.last, std::numeric_limits<std::uint32_t>::max() / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -268,6 +268,48 @@ TEST_F(SensorNetFixture, TreeAggregateUsesLessEnergyThanAllToBase) {
   EXPECT_LT(agg.energy_j, raw.energy_j);
 }
 
+TEST_F(SensorNetFixture, InFlightTreeRoundKeepsTheTreeItStartedWith) {
+  // A packet-tier TAG round holds the sink tree it was scheduled against.
+  // Moving a node mid-round makes tree() rebuild and drop the old tree;
+  // the round must still finish exactly once on its own tree (a dangling
+  // reference here is what the sanitizer build would catch).
+  UniformField field(25.0);
+  CollectionResult reference;
+  snet_->collect_tree_aggregate(field,
+                                [&](CollectionResult r) { reference = r; });
+  sim_.run();
+  ASSERT_GT(reference.elapsed_s, 0.0);
+
+  // The corner sensor is the base station's only neighbour: every report
+  // funnels through it on the last level of the round.
+  const net::NodeId gateway = snet_->sensors().front();
+  ASSERT_EQ(snet_->tree().parent(gateway), snet_->base_station());
+  ASSERT_EQ(snet_->tree().children(snet_->base_station()).size(), 1u);
+
+  int completions = 0;
+  CollectionResult result;
+  snet_->collect_tree_aggregate(field, [&](CollectionResult r) {
+    ++completions;
+    result = r;
+  });
+  bool moved_mid_round = false;
+  sim_.schedule(sim::SimTime::seconds(reference.elapsed_s / 2.0), [&] {
+    moved_mid_round = completions == 0;
+    net_.move_node(gateway, net::Vec3{1000.0, 1000.0, 0.0});
+    EXPECT_EQ(snet_->tree().max_depth(), 0u) << "tree() must rebuild";
+  });
+  sim_.run();
+
+  EXPECT_TRUE(moved_mid_round);
+  EXPECT_EQ(completions, 1);
+  // The round kept its schedule: every sensor of the starting tree was
+  // expected, the remaining levels still ran over the starting tree, and
+  // the hops into the moved gateway found no link.
+  EXPECT_EQ(result.expected, 49u);
+  EXPECT_EQ(result.reports, 0u);
+  EXPECT_FALSE(result.complete);
+}
+
 TEST_F(SensorNetFixture, ClusterAggregateMatchesAnswer) {
   GradientField field(5.0, 0.5);
   CollectionResult result;
