@@ -5,26 +5,24 @@
 //              from the sensor network; results flow back; the grid does the
 //              heavy lifting when chosen.
 //
-//   --city     EXP-N2 — the flow-level fast path at city scale.  Three
+//   --city     EXP-N2 — the flow-level fast path at city scale.  Two
 //              stages, every gate enforced in the exit code:
 //                1. calibration: packet oracle vs flow tier on identical
 //                   seeded deployments at N <= 1600 — battery energy within
 //                   +/-10%, delivery success within 2 points, TAG epoch
 //                   latency within +/-15%;
-//                2. kill switch: flow disabled vs installed-but-all-packet
-//                   fidelity, bit-identical query outcomes and NetworkStats;
-//                3. city: a ShardedDeployment of dozens of base-station
+//                2. city: a ShardedDeployment of dozens of base-station
 //                   regions (>= 100k sensors total; --quick shrinks it to CI
 //                   size) running local + cross-region queries and bulk
 //                   backhaul flows end to end in flow mode — the scenario
 //                   the per-hop packet tier cannot reach.
 //
 //   --mobile   EXP-N3 (scenario slice) — the query suite with seeded
-//              waypoint walkers roaming mid-run, once per incremental-epoch
-//              mode on the same seed.  Gate: query fingerprints (answers,
-//              costs, raw network counters) bit-identical across modes —
-//              incremental topology changes the work, never the answer.
-//              The table records the cache-survival counters.
+//              waypoint walkers roaming mid-run.  Gate: at every sync point
+//              the cached route equals shortest_path_naive and every
+//              snapshot row equals neighbors_naive — scoped topology epochs
+//              change the work, never the answer.  The table records the
+//              cache-survival counters.
 //
 //   --load     EXP-Q1 — multi-query sharing under sustained load.  An
 //              overlap sweep submits G canonical groups x F subscribers on
@@ -67,11 +65,9 @@ struct CalibResult {
 };
 
 CalibResult run_collection_rounds(std::size_t n, bool flow_mode,
-                                  std::size_t rounds,
-                                  double congestion_alpha = 0.0) {
+                                  std::size_t rounds) {
   auto config = bench::standard_config(n);
   config.flow.enabled = flow_mode;
-  config.flow.congestion_alpha = congestion_alpha;
   core::PervasiveGridRuntime runtime(config);
   CalibResult out;
   std::uint64_t reports = 0;
@@ -113,10 +109,11 @@ bool within_rel(double oracle, double measured, double tol) {
   return std::abs(measured - oracle) <= tol * std::abs(oracle);
 }
 
-// --- EXP-N2 stage 2: kill-switch bit-identity ------------------------------
+// --- Query fingerprints (EXP-Q1 kill switch) --------------------------------
 
-/// Everything a query run leaves behind that the flow tier could possibly
-/// perturb: the answer, both cost axes, and the network's raw counters.
+/// Everything a query run leaves behind that an optional layer could
+/// possibly perturb: the answer, both cost axes, and the network's raw
+/// counters.
 struct QueryFingerprint {
   double value = 0.0;
   double energy_j = 0.0;
@@ -158,7 +155,7 @@ std::vector<QueryFingerprint> run_query_suite(core::RuntimeConfig config) {
   return prints;
 }
 
-// --- EXP-N2 stage 3: the city ----------------------------------------------
+// --- EXP-N2 stage 2: the city ----------------------------------------------
 
 struct CityResult {
   std::size_t regions = 0;
@@ -272,47 +269,7 @@ int run_city_experiment(bench::Experiment& experiment, bool quick) {
   }
   experiment.series("calibration", calib);
 
-  // Stage 1b: congestion sensitivity.  Positive congestion_alpha makes the
-  // analytic service time grow with concurrent flows on a link; the sweep
-  // records how collection energy and TAG latency respond so the knob's
-  // effect is tracked across PRs (recorded, not gated: the model is a
-  // first-order penalty, not a calibrated target).
-  const std::size_t alpha_n = quick ? 100 : 400;
-  common::Table congestion({"n", "alpha", "energy (J)", "success",
-                            "tree (s)", "flows"});
-  for (double alpha : {0.0, 0.05, 0.1, 0.2}) {
-    const CalibResult r = run_collection_rounds(alpha_n, true, rounds, alpha);
-    congestion.add_row({std::to_string(alpha_n),
-                        common::Table::num(alpha, 2),
-                        common::Table::num(r.energy_j, 6),
-                        common::Table::num(r.success, 4),
-                        common::Table::num(r.tree_s, 4),
-                        std::to_string(r.flows)});
-  }
-  experiment.series("congestion_alpha", congestion);
-
-  // Stage 2: kill switch.  Disabled vs installed-with-all-packet-fidelity
-  // must leave bit-identical fingerprints — the all-packet model draws no
-  // randomness and every path falls through to the packet tier.
-  auto disabled_config = bench::standard_config(100);
-  auto all_packet_config = bench::standard_config(100);
-  all_packet_config.flow.enabled = true;
-  all_packet_config.flow.default_fidelity = net::Fidelity::kPacket;
-  const auto disabled = run_query_suite(disabled_config);
-  const auto all_packet = run_query_suite(all_packet_config);
-  common::Table kill({"query", "energy off (J)", "energy all-pkt (J)",
-                      "identical"});
-  for (std::size_t i = 0; i < disabled.size(); ++i) {
-    const bool same = disabled[i] == all_packet[i];
-    ok = ok && same;
-    kill.add_row({std::to_string(i),
-                  common::Table::num(disabled[i].energy_j, 9),
-                  common::Table::num(all_packet[i].energy_j, 9),
-                  same ? "YES" : "NO"});
-  }
-  experiment.series("kill_switch", kill);
-
-  // Stage 3: the city itself.
+  // Stage 2: the city itself.
   const std::size_t regions = quick ? 4 : 36;
   const std::size_t per_region = quick ? 100 : 2916;  // 36 * 2916 = 104,976
   const CityResult city = run_city(regions, per_region);
@@ -540,22 +497,43 @@ int run_load_experiment(bench::Experiment& experiment, bool quick) {
 // --- EXP-N3 companion: the scenario under mobile clients ---------------------
 
 /// One full query suite with seeded waypoint walkers roaming while the
-/// queries run, returning the fingerprints plus the topology-cache
-/// counters.  The same seed drives both incremental-epoch modes, so the
-/// fingerprints must be bit-identical: incremental topology changes what
-/// work is done, never what is answered.
+/// queries run.  At each sync point the cached route and every snapshot row
+/// are checked against the naive oracles (shortest_path_naive,
+/// neighbors_naive): scoped topology epochs change what work is done,
+/// never what is answered.
 struct MobileRun {
-  std::vector<QueryFingerprint> prints;
+  std::size_t queries_ok = 0;
+  std::size_t sync_points = 0;
+  std::size_t oracle_mismatches = 0;
   net::RouteCache::Stats cache;
   net::TopologyStats topo;
   net::FlowStats flow;
   std::uint64_t moves = 0;
 };
 
-MobileRun run_mobile_suite(bool incremental) {
+/// Compares the network's cached answers with the naive oracles right now;
+/// returns the number of mismatching rows and routes.
+std::size_t oracle_mismatches(const net::Network& network, net::NodeId src,
+                              net::NodeId dst) {
+  std::size_t bad = 0;
+  if (net::cached_shortest_path(network, src, dst) !=
+      net::shortest_path_naive(network, src, dst)) {
+    ++bad;
+  }
+  const auto& snapshot = network.topology_snapshot();
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    const auto naive = network.neighbors_naive(id);
+    const auto row = snapshot.row(id);
+    if (!std::equal(row.begin(), row.end(), naive.begin(), naive.end())) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
+MobileRun run_mobile_suite() {
   auto config = bench::standard_config(100);
   config.flow.enabled = true;  // the plan cache rides the same epochs
-  config.topology.incremental = incremental;
   core::PervasiveGridRuntime runtime(config);
   bench::ignite_standard_fire(runtime);
 
@@ -573,20 +551,22 @@ MobileRun run_mobile_suite(bool incremental) {
                                  common::Rng(0xB0B1ULL));
   mobility.start();
 
-  // A steady trickle of route lookups while the walkers roam: pure reads
-  // (no energy, no rng, no frames), identical in both modes, but they give
-  // the epoch machinery frequent sync points so the deltas stay small
-  // enough to apply scoped instead of widening to a rebuild.
+  // A steady trickle of oracle-checked route lookups while the walkers
+  // roam: pure reads (no energy, no rng, no frames), and frequent sync
+  // points keep the deltas small enough to apply scoped instead of
+  // widening to a rebuild.
+  MobileRun out;
   auto& network = runtime.network();
   for (int i = 0; i < 20; ++i) {
     runtime.simulator().schedule(
-        sim::SimTime::seconds(1.0 + double(i)), [&network, sensors] {
+        sim::SimTime::seconds(1.0 + double(i)), [&network, &out, sensors] {
           // A pair away from the walkers' corner.  On this small floor the
           // walkers' gather block still covers much of the field, so most
           // epochs drop the route — the per-entry verdicts (kept/dropped
           // columns) are the point; survival at scale is EXP-N3's table.
-          net::cached_shortest_path(network, sensors[sensors.size() / 2],
-                                    sensors.back());
+          ++out.sync_points;
+          out.oracle_mismatches += oracle_mismatches(
+              network, sensors[sensors.size() / 2], sensors.back());
         });
   }
 
@@ -595,59 +575,51 @@ MobileRun run_mobile_suite(bool incremental) {
       "SELECT AVG(temp) FROM sensors",
       "SELECT temp FROM sensors WHERE sensor = 10 EPOCH DURATION 10",
   };
-  MobileRun out;
   for (const char* text : kQueries) {
     runtime.reset_energy();
-    const auto outcome = runtime.submit_and_run(text);
-    QueryFingerprint p;
-    p.value = outcome.actual.value;
-    p.energy_j = outcome.actual.energy_j;
-    p.response_s = outcome.actual.response_s;
-    p.handheld_s = outcome.handheld_response_s;
-    p.net = runtime.network().stats();
-    out.prints.push_back(p);
+    if (runtime.submit_and_run(text).ok) ++out.queries_ok;
   }
-  out.cache = runtime.network().route_cache().stats();
-  out.topo = runtime.network().topology_stats();
+  out.cache = network.route_cache().stats();
+  out.topo = network.topology_stats();
   if (auto* flow = runtime.flow_model()) out.flow = flow->stats();
   out.moves = mobility.moves();
   return out;
 }
 
 int run_mobile_experiment(bench::Experiment& experiment) {
-  const MobileRun off = run_mobile_suite(false);
-  const MobileRun on = run_mobile_suite(true);
+  const MobileRun run = run_mobile_suite();
+  const bool pass = run.sync_points > 0 && run.oracle_mismatches == 0 &&
+                    run.cache.revalidation_failures == 0 &&
+                    run.topo.scoped_epochs > 0;
 
-  bool identical = off.prints.size() == on.prints.size();
-  for (std::size_t i = 0; identical && i < off.prints.size(); ++i) {
-    identical = off.prints[i] == on.prints[i];
-  }
-
-  common::Table table({"mode", "moves", "cache hits", "cache misses",
+  common::Table table({"moves", "queries ok", "sync points",
+                       "oracle mismatches", "cache hits", "cache misses",
                        "scoped epochs", "global epochs", "rows patched",
                        "routes kept", "routes dropped", "plans kept",
-                       "plans dropped", "identical"});
-  for (const MobileRun* run : {&off, &on}) {
-    table.add_row({run == &on ? "incremental" : "global-flush",
-                   common::Table::num(run->moves),
-                   common::Table::num(run->cache.hits),
-                   common::Table::num(run->cache.misses),
-                   common::Table::num(run->topo.scoped_epochs),
-                   common::Table::num(run->topo.global_epochs),
-                   common::Table::num(run->topo.rows_patched),
-                   common::Table::num(run->cache.routes_kept),
-                   common::Table::num(run->cache.routes_dropped),
-                   common::Table::num(run->flow.plans_kept),
-                   common::Table::num(run->flow.plans_dropped),
-                   run == &on ? (identical ? "YES" : "NO") : "-"});
-  }
+                       "plans dropped", "gate"});
+  table.add_row({common::Table::num(run.moves),
+                 common::Table::num(std::uint64_t(run.queries_ok)),
+                 common::Table::num(std::uint64_t(run.sync_points)),
+                 common::Table::num(std::uint64_t(run.oracle_mismatches)),
+                 common::Table::num(run.cache.hits),
+                 common::Table::num(run.cache.misses),
+                 common::Table::num(run.topo.scoped_epochs),
+                 common::Table::num(run.topo.global_epochs),
+                 common::Table::num(run.topo.rows_patched),
+                 common::Table::num(run.cache.routes_kept),
+                 common::Table::num(run.cache.routes_dropped),
+                 common::Table::num(run.flow.plans_kept),
+                 common::Table::num(run.flow.plans_dropped),
+                 pass ? "PASS" : "FAIL"});
   experiment.series("mobile_clients", table);
-  experiment.note(identical
-                      ? "EXP-N3 scenario gate: fingerprints bit-identical "
-                        "across incremental-epoch modes under mobility."
-                      : "EXP-N3 scenario gate: FAILURE — incremental mode "
-                        "changed a query outcome.");
-  return identical ? 0 : 1;
+  experiment.note(pass
+                      ? "EXP-N3 scenario gate: cached routes and snapshot "
+                        "rows matched the naive oracles at every sync point "
+                        "under mobility, through scoped epochs."
+                      : "EXP-N3 scenario gate: FAILURE — a cached answer "
+                        "diverged from its naive oracle (or no scoped epoch "
+                        "ran).");
+  return pass ? 0 : 1;
 }
 
 // --- EXP-F1 (the original scenario table) -----------------------------------
@@ -707,9 +679,9 @@ int main(int argc, char** argv) {
   if (mobile) {
     bench::Experiment experiment(
         argc, argv, "EXP-N3 (scenario): mobile clients, incremental epochs",
-        "the full query scenario with seeded waypoint walkers must answer "
-        "bit-identically whether topology epochs are incremental or "
-        "global-flush; only the cache work differs");
+        "with seeded waypoint walkers roaming mid-scenario, cached routes "
+        "and patched snapshot rows match the naive oracles at every sync "
+        "point");
     return run_mobile_experiment(experiment);
   }
   if (load) {
@@ -725,8 +697,8 @@ int main(int argc, char** argv) {
     bench::Experiment experiment(
         argc, argv, "EXP-N2: flow-level fast path at city scale",
         "analytic flow tier within tolerance of the packet oracle at "
-        "N<=1600; kill switch bit-identical; >=100k sensors across dozens "
-        "of regions end to end in flow mode");
+        "N<=1600; >=100k sensors across dozens of regions end to end in "
+        "flow mode");
     return run_city_experiment(experiment, quick);
   }
   bench::Experiment experiment(

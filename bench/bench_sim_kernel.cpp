@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "partition/models.hpp"
+#include "query/parser.hpp"
 #include "sim/shard.hpp"
 
 namespace {
@@ -388,22 +390,31 @@ struct WhatIfResult {
   double checksum = 0.0;  // summed trial energies: serial/parallel must agree
 };
 
-/// End-to-end what_if_all wall-clock: `repeats` rounds of trialling every
-/// candidate model for an aggregate query on clone deployments.
+/// End-to-end what-if wall-clock: `repeats` rounds of trialling every
+/// candidate model for an aggregate query on clone deployments, either
+/// batched through what_if_all or as a serial what_if() loop.
 WhatIfResult whatif_wall_ms(bool parallel, std::size_t repeats,
                             std::size_t pool_threads) {
   auto config = pgrid::bench::standard_config(25);
   config.pool_threads = pool_threads;
-  config.what_if_parallelism = parallel ? 0 : 1;
   pgrid::core::PervasiveGridRuntime runtime(config);
   pgrid::bench::ignite_standard_fire(runtime);
   const std::string query = "SELECT AVG(temp) FROM sensors";
+  const auto models = pgrid::partition::candidates_for(
+      runtime.classifier()
+          .classify(pgrid::query::parse_query(query).value())
+          .inner);
   WhatIfResult result;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < repeats; ++r) {
-    const auto outcomes = runtime.what_if_all(query);
-    for (const auto& outcome : outcomes) {
-      result.checksum += outcome.actual.energy_j;
+    if (parallel) {
+      for (const auto& outcome : runtime.what_if_all(query)) {
+        result.checksum += outcome.actual.energy_j;
+      }
+    } else {
+      for (const auto model : models) {
+        result.checksum += runtime.what_if(query, model).actual.energy_j;
+      }
     }
   }
   result.wall_ms = seconds_since(start) * 1e3;

@@ -68,10 +68,10 @@ echo "=== bench smoke: kernel + decision maker + topology + reliability + city +
 # kill-switch arms over identical seeded base-station crashes plus the
 # two-region adoption arm, gating on exactly-once completion, mean
 # coverage >= 0.9 protected, demonstrable query loss unprotected, and
-# disabled-path bit-identity; kept as BENCH_failover.json.  The scenario run is EXP-N2 at CI size: the flow-tier
-# calibration sweep against the packet oracle, the flow kill-switch
-# bit-identity check, and a sharded multi-region city run in flow mode —
-# all gates enforced via the exit code (full scale: --city without --quick).
+# disabled-path bit-identity; kept as BENCH_failover.json.  The scenario
+# run is EXP-N2 at CI size: the flow-tier calibration sweep against the
+# packet oracle and a sharded multi-region city run in flow mode — all
+# gates enforced via the exit code (full scale: --city without --quick).
 # The load run is EXP-Q1: the multi-query sharing sweep — overlapping
 # standing aggregates with and without shared TAG trees on identical
 # seeds, gating on >=3x sustained qps at <=1% deadline-miss, strictly
@@ -80,11 +80,12 @@ echo "=== bench smoke: kernel + decision maker + topology + reliability + city +
 # also carries EXP-N3: the incremental-topology-epoch mobility sweep —
 # patched snapshots and surviving cached routes checked bit-identical
 # against the fresh-full-rebuild oracle, with the steady-state route-
-# acquisition speedup gate (>=2x over global-flush at the --quick size,
-# >=5x at N=1600 in the full run) enforced in the exit code.  The mobile
-# run is the EXP-N3 scenario slice: the query suite under seeded waypoint
-# walkers once per incremental-epoch mode, gating on bit-identical query
-# fingerprints (the topology kill-switch contract end to end).
+# acquisition speedup gate (>=2x at the --quick size, >=5x at N=1600 in
+# the full run, both over a baseline that forces a global epoch after
+# every mobility step) enforced in the exit code.  The mobile run is the
+# EXP-N3 scenario slice: the query suite under seeded waypoint walkers,
+# gating on cached routes equal to shortest_path_naive and snapshot rows
+# equal to neighbors_naive at every sync point.
 out/default/bench/bench_sim_kernel --json --quick > BENCH_kernel.json
 out/default/bench/bench_decision_maker --json > /tmp/bench_dm.json
 out/default/bench/bench_routing --json --quick > BENCH_topology.json
@@ -110,4 +111,14 @@ for path in sys.argv[1:]:
     print(f"bench JSON ok: {path} ({len(report['series'])} series)")
 PY
 
-echo "CI OK: both presets built, all tests passed, bench smoke clean."
+echo "=== perfbench self-test: city, field, storm (Release) ==="
+# The benchmark's own self-tests on its three full-size workloads: the same
+# seed gives identical digests and modelled metrics across runs and across
+# 1 vs 4 lanes, and a traced run matches an untraced one.  Built in Release
+# from the same sources, so it checks the default topology discipline end
+# to end on every workload.
+cmake -S perfbench -B out/perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build out/perfbench -j "${JOBS}" --target perfbench_test
+out/perfbench/perfbench_test
+
+echo "CI OK: both presets built, all tests passed, bench smoke clean, perfbench self-test clean."

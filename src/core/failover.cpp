@@ -32,7 +32,9 @@ struct Cursor {
     return true;
   }
   bool blob(std::size_t bytes, std::string& out) {
-    if (pos + bytes >= text.size()) return false;  // needs the trailing '\n'
+    // Needs the trailing '\n'; compared without `pos + bytes`, which a
+    // hostile count would wrap.
+    if (bytes >= text.size() - pos) return false;
     out.assign(text, pos, bytes);
     pos += bytes;
     if (text[pos] != '\n') return false;
@@ -114,7 +116,9 @@ common::Result<Checkpoint> parse_checkpoint(const std::string& text) {
     return fail("malformed meta record");
   }
 
-  checkpoint.queries.reserve(n_queries);
+  // Record counts are untrusted until the integrity tail checks out, so
+  // nothing is reserved from them: the vectors grow with the records that
+  // actually parse, and a hostile count fails as a truncation.
   for (std::size_t i = 0; i < n_queries; ++i) {
     QueryCheckpoint q;
     if (!cursor.line(line) || !parse_fields(line, "query", fields)) {
@@ -138,7 +142,6 @@ common::Result<Checkpoint> parse_checkpoint(const std::string& text) {
       return fail("malformed text payload (truncated)");
     }
 
-    q.epochs.reserve(n_epochs);
     for (std::size_t k = 0; k < n_epochs; ++k) {
       EpochRecord e;
       if (!cursor.line(line) || !parse_fields(line, "epoch", fields)) {

@@ -15,6 +15,8 @@ namespace pgrid::core {
 namespace {
 constexpr const char* kQueryContent = "pgrid/query";
 constexpr const char* kQueryResult = "pgrid/query-result";
+/// what_if_all evaluates fewer candidate models than this serially.
+constexpr std::size_t kMinParallelTrials = 3;
 }  // namespace
 
 // Pending outcomes keyed by conversation id live outside the header to keep
@@ -30,10 +32,6 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
                                            common::ThreadPool* shared_pool)
     : config_(std::move(config)), rng_(config_.seed) {
   network_ = std::make_unique<net::Network>(sim_, rng_.fork());
-  // Before any node exists: enabling incremental epochs draws no rng and
-  // schedules nothing, so the kill switch (off by default) keeps every
-  // path byte-identical to the global-bump build.
-  network_->set_incremental_topology(config_.topology.incremental);
   sensors_ = std::make_unique<sensornet::SensorNetwork>(
       *network_, config_.sensors, rng_.fork());
   field_ = std::make_unique<sensornet::BuildingTemperatureField>(
@@ -68,8 +66,7 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
     // tier must not perturb placement/noise/packet-loss draws, so a
     // flow-mode run samples the same sensor readings as a packet-mode run.
     flow_ = std::make_unique<net::FlowModel>(
-        *network_, config_.flow,
-        common::Rng(config_.seed ^ 0xC2B2AE3D27D4EB4FULL));
+        *network_, common::Rng(config_.seed ^ 0xC2B2AE3D27D4EB4FULL));
     network_->set_flow_model(flow_.get());
   }
 
@@ -750,13 +747,11 @@ std::vector<QueryOutcome> PervasiveGridRuntime::what_if_all(
   // own learner state), reading only this runtime's immutable config and
   // field snapshot — so clones evaluate concurrently on the pool while the
   // outcomes stay bit-identical to serial evaluation, in candidate order.
-  std::size_t parallelism = config_.what_if_parallelism == 0
-                                ? compute_pool().size()
-                                : config_.what_if_parallelism;
-  parallelism = std::min(parallelism, trials);
-  // Serial fallback: with too few trials the dispatch overhead dominates,
-  // and on a pool worker nested submission would run inline anyway.
-  if (trials < config_.what_if_serial_threshold || parallelism <= 1 ||
+  const std::size_t parallelism = std::min(compute_pool().size(), trials);
+  // Serial fallback: with too few trials the task handoffs and clone
+  // construction dominate, and on a pool worker nested submission would
+  // run inline anyway.
+  if (trials < kMinParallelTrials || parallelism <= 1 ||
       compute_pool().on_worker_thread()) {
     for (std::size_t i = 0; i < trials; ++i) {
       outcomes[i] = what_if(query_text, models[i]);

@@ -75,16 +75,6 @@ struct RuntimeConfig {
   /// therefore every floating-point result — is identical across the
   /// deployment and its trial clones.
   std::size_t pool_threads = 0;
-  /// Max what-if trials in flight inside what_if_all: 0 = one per pool
-  /// worker, 1 = strictly serial.  Each trial runs on an isolated clone
-  /// (own Simulator, own CostLedger), so any setting returns outcomes
-  /// bit-identical to serial evaluation, in candidate order.
-  std::size_t what_if_parallelism = 0;
-  /// Below this many candidate models what_if_all evaluates serially even
-  /// when parallelism allows more: with only a couple of trials the task
-  /// handoffs and clone construction dominate and the parallel dispatch is
-  /// pure overhead.
-  std::size_t what_if_serial_threshold = 3;
   /// SPMD world sharding (core/sharded.hpp).  A plain PervasiveGridRuntime
   /// ignores this block entirely — it configures how a ShardedDeployment
   /// built from this config partitions its regions across lockstep lanes.
@@ -102,11 +92,6 @@ struct RuntimeConfig {
   /// default; with `sharing.enabled` false the layer is never constructed
   /// and every submission path runs bit-identically to a build without it.
   SharingConfig sharing;
-  /// Incremental topology epochs (net/network.hpp TopologyConfig,
-  /// DESIGN.md S26): delta CSR patching + scoped route/plan invalidation
-  /// under mobility.  Off by default — the legacy global-bump discipline,
-  /// byte-identical to the pre-epoch build.
-  net::TopologyConfig topology;
   /// Base-station failover (core/failover.hpp): checkpointed continuous-
   /// query state, crash/restore replay, adoption and roaming handoff.  Off
   /// by default — with `failover.enabled` false no FailoverManager is
@@ -191,10 +176,10 @@ class PervasiveGridRuntime {
 
   /// Trials every supported model for the query on clones and returns the
   /// outcomes in candidate order — the measured basis for an oracle label.
-  /// Trials evaluate concurrently on the runtime's thread pool (see
-  /// RuntimeConfig::what_if_parallelism): every clone is a fully isolated
-  /// deterministic deployment, so the outcomes are bit-identical to serial
-  /// evaluation regardless of parallelism or scheduling.
+  /// Trials evaluate concurrently on the runtime's thread pool, at most one
+  /// batch per worker: every clone is a fully isolated deterministic
+  /// deployment, so the outcomes are bit-identical to a serial what_if()
+  /// loop regardless of pool size or scheduling.
   std::vector<QueryOutcome> what_if_all(const std::string& query_text);
 
   // --- world & subsystem access -------------------------------------------

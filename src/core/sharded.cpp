@@ -145,14 +145,6 @@ void ShardedDeployment::transfer_remote(std::size_t from, std::size_t to,
                });
 }
 
-void ShardedDeployment::set_region_fidelity(std::size_t r,
-                                            net::RegionId target,
-                                            net::Fidelity fidelity) {
-  if (net::FlowModel* flow = regions_.at(r)->flow_model()) {
-    flow->set_region_fidelity(target, fidelity);
-  }
-}
-
 sim::ChaosEngine& ShardedDeployment::ensure_chaos(std::size_t r) {
   PervasiveGridRuntime& rt = region(r);
   if (!chaos_[r]) {

@@ -107,12 +107,6 @@ class ShardedDeployment {
   void transfer_remote(std::size_t from, std::size_t to, sim::SimTime at,
                        std::uint64_t bytes, std::function<void(bool)> done);
 
-  /// Sets the fidelity of global region `target` inside region `r`'s flow
-  /// model (no-op while the flow tier is disabled).  Every region shares
-  /// the same ShardMap centers, so `target` means the same area everywhere.
-  void set_region_fidelity(std::size_t r, net::RegionId target,
-                           net::Fidelity fidelity);
-
   /// Arms a seeded chaos schedule over region `r`'s network (engine seed =
   /// the region's derived seed, so schedules are a pure function of
   /// (config, region) and identical at every shard count).

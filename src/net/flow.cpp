@@ -9,17 +9,15 @@
 namespace pgrid::net {
 
 namespace {
-/// Round a (possibly congestion-scaled) microsecond expectation to the
-/// integer kernel clock.  Always at least the truncation floor so a scaled
-/// hop never finishes before its unscaled base time would round to.
+/// Round a scaled microsecond expectation to the integer kernel clock.
 sim::SimTime scaled_time(sim::SimTime base, double factor) {
   const double us = static_cast<double>(base.us) * factor;
   return sim::SimTime::microseconds(static_cast<std::int64_t>(std::llround(us)));
 }
 }  // namespace
 
-FlowModel::FlowModel(Network& network, FlowConfig config, common::Rng rng)
-    : network_(network), config_(config), rng_(rng) {}
+FlowModel::FlowModel(Network& network, common::Rng rng)
+    : network_(network), rng_(rng) {}
 
 // --- closed forms ----------------------------------------------------------
 
@@ -56,19 +54,6 @@ double FlowModel::expected_max_attempts(std::size_t n, double loss_p,
 
 // --- fidelity selection ----------------------------------------------------
 
-void FlowModel::set_region_fidelity(RegionId region, Fidelity fidelity) {
-  if (fidelity == config_.default_fidelity) {
-    region_fidelity_.erase(region);
-  } else {
-    region_fidelity_[region] = fidelity;
-  }
-}
-
-Fidelity FlowModel::region_fidelity(RegionId region) const {
-  auto it = region_fidelity_.find(region);
-  return it == region_fidelity_.end() ? config_.default_fidelity : it->second;
-}
-
 void FlowModel::force_packet(NodeId a, NodeId b) {
   ++forced_packet_[Network::pair_key(a, b)];
 }
@@ -85,20 +70,14 @@ bool FlowModel::packet_forced(NodeId a, NodeId b) const {
 }
 
 bool FlowModel::hop_eligible(NodeId a, NodeId b) const {
-  if (!config_.enabled) return false;
   // An armed injector's drops/duplicates/jitter are per-transmit effects
   // the analytic tier cannot reproduce; chaos forces packet fidelity.
-  if (network_.fault_injector() != nullptr && !config_.flow_under_chaos) {
-    return false;
-  }
-  if (packet_forced(a, b)) return false;
-  if (region_fidelity(network_.region_of(a)) != Fidelity::kFlow) return false;
-  if (region_fidelity(network_.region_of(b)) != Fidelity::kFlow) return false;
-  return true;
+  if (network_.fault_injector() != nullptr) return false;
+  return !packet_forced(a, b);
 }
 
 bool FlowModel::route_eligible(const std::vector<NodeId>& route) const {
-  if (!config_.enabled || route.size() < 2) return false;
+  if (route.size() < 2) return false;
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
     if (!hop_eligible(route[i], route[i + 1])) return false;
   }
@@ -106,7 +85,6 @@ bool FlowModel::route_eligible(const std::vector<NodeId>& route) const {
 }
 
 bool FlowModel::tree_eligible(const SinkTree& tree) const {
-  if (!config_.enabled) return false;
   for (NodeId id : tree.bfs_order()) {
     if (id == tree.sink()) continue;
     if (!hop_eligible(id, tree.parent(id))) return false;
@@ -193,13 +171,6 @@ bool FlowModel::charge_hop(NodeId a, NodeId b, std::uint64_t bytes,
   return ok;
 }
 
-double FlowModel::congestion_factor(NodeId a, NodeId b) const {
-  if (config_.congestion_alpha <= 0.0 || active_flows_.empty()) return 1.0;
-  auto it = active_flows_.find(Network::pair_key(a, b));
-  if (it == active_flows_.end()) return 1.0;
-  return 1.0 + config_.congestion_alpha * static_cast<double>(it->second);
-}
-
 void FlowModel::send_flow(const std::vector<NodeId>& route,
                           std::uint64_t bytes, RouteCallback cb) {
   ++stats_.flows;
@@ -211,23 +182,15 @@ void FlowModel::send_flow(const std::vector<NodeId>& route,
   // and, on failure, which hop broke.
   const double u = rng_.uniform01();
   double survive = 1.0;
-  double total_us = 0.0;
+  std::int64_t total_us = 0;
   std::size_t completed = 0;
   bool delivered = true;
-  std::vector<std::uint64_t> held;
-  const bool track = config_.congestion_alpha > 0.0;
   const std::size_t usable = plan.viable ? plan.hops.size() : plan.broken_hop;
   for (std::size_t i = 0; i < usable; ++i) {
     const PlanHop& hop = plan.hops[i];
-    const double factor = congestion_factor(hop.from, hop.to);
-    if (track) {
-      const std::uint64_t key = Network::pair_key(hop.from, hop.to);
-      ++active_flows_[key];
-      held.push_back(key);
-    }
     survive *= hop.outcome.success_p;
     const bool hop_ok = u < survive;
-    total_us += static_cast<double>(hop.outcome.latency.us) * factor;
+    total_us += hop.outcome.latency.us;
     const bool alive_ok = charge_hop(hop.from, hop.to, bytes, hop.outcome,
                                      hop_ok);
     if (!hop_ok || !alive_ok) {
@@ -249,28 +212,9 @@ void FlowModel::send_flow(const std::vector<NodeId>& route,
     ++stats_.failed;
   }
 
-  const auto when = sim::SimTime::microseconds(
-      static_cast<std::int64_t>(std::llround(total_us)));
-  if (held.empty()) {
-    network_.sim_.schedule(when,
-                           [cb = std::move(cb), delivered,
-                            completed]() mutable { cb(delivered, completed); });
-  } else {
-    network_.sim_.schedule(
-        when, [this, keys = std::move(held), cb = std::move(cb), delivered,
-               completed]() mutable {
-          unregister_flow(keys);
-          cb(delivered, completed);
-        });
-  }
-}
-
-void FlowModel::unregister_flow(const std::vector<std::uint64_t>& keys) {
-  for (std::uint64_t key : keys) {
-    auto it = active_flows_.find(key);
-    if (it == active_flows_.end()) continue;
-    if (--it->second == 0) active_flows_.erase(it);
-  }
+  network_.sim_.schedule(sim::SimTime::microseconds(total_us),
+                         [cb = std::move(cb), delivered,
+                          completed]() mutable { cb(delivered, completed); });
 }
 
 // --- plan cache ------------------------------------------------------------
@@ -290,7 +234,7 @@ std::uint64_t FlowModel::plan_key(NodeId src, NodeId dst,
 }
 
 void FlowModel::sync_plan_version() {
-  // Apply any pending incremental delta first, so the versions below are
+  // Apply any pending topology delta first, so the versions below are
   // final and the scoped delta (if any) reaches up to them.
   network_.sync_topology_caches();
   const std::uint64_t topo = network_.topology_version();
@@ -344,9 +288,9 @@ const FlowModel::FlowPlan& FlowModel::plan_for(
     return it->second;
   }
   ++stats_.plan_misses;
-  // Capacity is a per-version bound; one epoch of city-scale routes fits,
-  // and the whole map dies at the next version bump anyway.
-  if (plans_.size() >= config_.plan_cache_capacity) plans_.clear();
+  // Capacity bounds memory, not correctness: one epoch of city-scale
+  // routes fits, and past it the cache simply restarts empty.
+  if (plans_.size() >= kPlanCacheCapacity) plans_.clear();
   FlowPlan plan;
   plan.route = route;
   plan.viable = true;

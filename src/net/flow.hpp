@@ -14,25 +14,19 @@
 //     probability; one inverse-CDF draw from the model's own rng stream
 //     decides the delivery outcome (and the failing hop), and ONE simulator
 //     event fires the completion callback.
-//   - Congestion is a per-link concurrent-flow share: while k flows occupy
-//     a link, a new flow's service time on that hop scales by
-//     (1 + congestion_alpha * k).  The default alpha is 0 — the packet tier
-//     models links as contention-free, so zero keeps the two tiers
-//     calibrated; positive alpha adds a fidelity the packet tier never had.
-//   - Fidelity is selectable per region (through the installed ShardMap)
-//     and per link.  Packet-forced links — the ReliableChannel marks every
-//     link its in-flight transfers occupy, and an installed FaultInjector
-//     forces the whole deployment — always fall back to the packet tier,
-//     so chaos/reliability semantics stay exact where they matter.
+//   - Links are contention-free, exactly as in the packet tier, so the two
+//     tiers stay calibrated against each other.
+//   - Packet-forced links fall back to the packet tier: the ReliableChannel
+//     marks every link its in-flight transfers occupy, and an installed
+//     FaultInjector forces the whole deployment, so chaos/reliability
+//     semantics stay exact where they matter.
 //   - Flow plans (per-hop expectations for a (src, dst, bytes) triple) are
 //     cached under the same (topology, liveness) version discipline as the
 //     RouteCache: mobility, churn, chaos installation and battery death all
 //     invalidate analytic state exactly when they invalidate routes.
 //
 // Kill switch: a Network with no FlowModel installed (RuntimeConfig::flow
-// disabled) runs the packet paths byte-for-byte unchanged, and an installed
-// model whose fidelity resolves to packet everywhere draws no randomness
-// and changes nothing — both identities are regression-tested.
+// disabled) runs the packet paths byte-for-byte unchanged.
 #pragma once
 
 #include <cstdint>
@@ -46,28 +40,11 @@ namespace pgrid::net {
 
 class SinkTree;
 
-/// Fidelity tier of a link or region.
-enum class Fidelity : std::uint8_t { kPacket, kFlow };
-
 /// Flow-tier knobs (RuntimeConfig::flow).
 struct FlowConfig {
   /// Master kill switch.  Disabled => no FlowModel is constructed and every
   /// packet path runs bit-identically to the pre-flow build.
   bool enabled = false;
-  /// Fidelity of links whose regions carry no override (and of the whole
-  /// deployment when no ShardMap is installed).
-  Fidelity default_fidelity = Fidelity::kFlow;
-  /// Per-link fair-share congestion weight: a hop's analytic service time
-  /// scales by (1 + congestion_alpha * concurrent flows on the link).
-  /// Zero (default) is the packet-equivalent calibration point.
-  double congestion_alpha = 0.0;
-  /// Allow flow-level service while a FaultInjector is installed.  Off by
-  /// default: chaos drops/duplicates/jitter are per-transmit effects the
-  /// analytic tier cannot reproduce, so an armed injector forces the whole
-  /// deployment to packet fidelity.
-  bool flow_under_chaos = false;
-  /// Cached flow plans (per-hop expectations) kept per version epoch.
-  std::size_t plan_cache_capacity = 4096;
 };
 
 /// Diagnostics for the flow tier.
@@ -100,7 +77,7 @@ class FlowModel {
 
   /// Analytic outcome of one hop at the current topology.
   struct HopOutcome {
-    sim::SimTime latency;           ///< expected service time, uncongested
+    sim::SimTime latency;           ///< expected service time
     sim::SimTime base_latency;      ///< single-attempt transfer time
     double loss_p = 0.0;            ///< per-attempt frame loss probability
     double success_p = 1.0;         ///< P(delivery within the retry budget)
@@ -110,19 +87,14 @@ class FlowModel {
     bool wireless = true;
   };
 
-  FlowModel(Network& network, FlowConfig config, common::Rng rng);
+  /// Constructed only when RuntimeConfig::flow is enabled.
+  FlowModel(Network& network, common::Rng rng);
 
-  const FlowConfig& config() const { return config_; }
   const FlowStats& stats() const { return stats_; }
   Network& network() { return network_; }
   common::Rng& rng() { return rng_; }
 
   // --- fidelity selection --------------------------------------------------
-
-  /// Overrides the fidelity of one region (see Network::set_shard_map).
-  void set_region_fidelity(RegionId region, Fidelity fidelity);
-  /// Region fidelity under the overrides (default fidelity when none).
-  Fidelity region_fidelity(RegionId region) const;
 
   /// Forces a link to the packet tier while any holder needs it (counted,
   /// so overlapping holders compose).  The ReliableChannel marks the links
@@ -135,9 +107,8 @@ class FlowModel {
   /// must read zero here — the load test's force-packet leak check.
   std::size_t forced_link_count() const { return forced_packet_.size(); }
 
-  /// May hop a->b be served analytically right now?  Requires the tier
-  /// enabled, no armed FaultInjector (unless flow_under_chaos), the link
-  /// not packet-forced, and both endpoint regions at flow fidelity.
+  /// May hop a->b be served analytically right now?  Requires no armed
+  /// FaultInjector and the link not packet-forced.
   bool hop_eligible(NodeId a, NodeId b) const;
   /// Every consecutive hop of `route` is eligible (>= 2 nodes required).
   bool route_eligible(const std::vector<NodeId>& route) const;
@@ -171,9 +142,6 @@ class FlowModel {
   void note_tree_epoch() { ++stats_.tree_epochs; }
   void note_packet_fallback() { ++stats_.packet_fallbacks; }
 
-  /// Congestion factor a new flow would see on link (a, b) right now.
-  double congestion_factor(NodeId a, NodeId b) const;
-
   // --- the closed forms (shared with tests and the calibration sweep) ------
 
   /// P(delivery within max_retries+1 attempts) at per-attempt loss p.
@@ -204,30 +172,25 @@ class FlowModel {
     std::size_t broken_hop = 0;  ///< first unusable hop when !viable
   };
 
+  /// Most flow plans cached at once.
+  static constexpr std::size_t kPlanCacheCapacity = 4096;
+
   static std::uint64_t plan_key(NodeId src, NodeId dst, std::uint64_t bytes);
   /// Synchronizes the plan cache with the network's (topology, liveness)
   /// versions — the exact RouteCache discipline, so mobility/churn/chaos/
   /// death invalidate analytic state whenever they invalidate routes.
-  /// Under incremental epochs, when the network's last scoped delta covers
-  /// the whole version gap, only plans whose route touches a dirty row are
-  /// dropped (a plan is a pure function of its route nodes' state, and any
-  /// changed edge puts an endpoint row in the dirty set); otherwise the
-  /// legacy wholesale clear applies.
+  /// When the network's last scoped delta covers the whole version gap,
+  /// only plans whose route touches a dirty row are dropped (a plan is a
+  /// pure function of its route nodes' state, and any changed edge puts an
+  /// endpoint row in the dirty set); otherwise the whole cache is cleared.
   void sync_plan_version();
   const FlowPlan& plan_for(const std::vector<NodeId>& route,
                            std::uint64_t bytes);
 
-  void unregister_flow(const std::vector<std::uint64_t>& keys);
-
   Network& network_;
-  FlowConfig config_;
   common::Rng rng_;
   FlowStats stats_;
-  std::unordered_map<RegionId, Fidelity> region_fidelity_;
   std::unordered_map<std::uint64_t, std::uint32_t> forced_packet_;
-  /// Active concurrent flows per link (only maintained when
-  /// congestion_alpha > 0; empty otherwise).
-  std::unordered_map<std::uint64_t, std::uint32_t> active_flows_;
   std::unordered_map<std::uint64_t, FlowPlan> plans_;
   std::uint64_t plan_topology_version_ = 0;
   std::uint64_t plan_liveness_version_ = 0;

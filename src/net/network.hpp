@@ -74,18 +74,6 @@ struct TopologyStats {
   std::uint64_t global_epochs = 0;     ///< pending deltas widened to a rebuild
 };
 
-/// Kill switch for incremental topology epochs (DESIGN.md S26).  Off (the
-/// default) keeps the legacy all-or-nothing discipline: any topology bump
-/// or battery death rebuilds the whole CSR snapshot and flushes the route
-/// and flow-plan caches wholesale — byte-identical to the pre-epoch build.
-/// On, mutations accumulate a dirty-row delta that is applied lazily at
-/// the next cache access: the snapshot is patched row-wise and only the
-/// cached routes/plans a change could affect are dropped.  Answers are
-/// bit-identical either way; only the work is scoped.
-struct TopologyConfig {
-  bool incremental = false;
-};
-
 /// One applied scoped epoch: the half-open version advance and the sorted
 /// set of nodes whose adjacency rows changed.  Consumers holding caches
 /// keyed on older versions (the flow model's plan cache) can apply it
@@ -182,10 +170,11 @@ class Network {
   /// neighbors().
   std::vector<NodeId> neighbors_naive(NodeId id) const;
 
-  /// Flat CSR adjacency of the whole deployment, built lazily once per
-  /// (topology, liveness) version and shared by the route search, SinkTree
-  /// construction and flooding.  Valid until the next topology bump or
-  /// battery death.
+  /// Flat CSR adjacency of the whole deployment, shared by the route
+  /// search, SinkTree construction and flooding.  Brought up to date
+  /// lazily on access: a pending scoped delta patches only its dirty rows,
+  /// a global epoch rebuilds the whole snapshot.  Valid until the next
+  /// topology change or battery death.
   const TopologySnapshot& topology_snapshot() const;
 
   /// The deployment's shortest-path cache (see net::cached_shortest_path).
@@ -255,10 +244,6 @@ class Network {
   /// bit-identical legacy behaviour.
   void set_shard_map(const ShardMap* map) { shard_map_ = map; }
   const ShardMap* shard_map() const { return shard_map_; }
-  /// Region of a node under the installed map (kInvalidRegion without one).
-  RegionId region_of(NodeId id) const {
-    return shard_map_ ? shard_map_->region_of(id) : kInvalidRegion;
-  }
 
   /// Installs (or clears, with nullptr) the analytic flow tier
   /// (net/flow.hpp).  With a model installed, send_route dispatches
@@ -280,16 +265,9 @@ class Network {
   /// global epoch: the caller cannot name the affected rows.
   void bump_topology_version();
 
-  /// Enables/disables incremental topology epochs (TopologyConfig).  Off
-  /// is the legacy global-bump discipline; toggling bumps the topology
-  /// version so every downstream cache resynchronizes.
-  void set_incremental_topology(bool enabled);
-  bool incremental_topology() const { return incremental_topology_; }
-
   /// Applies any pending topology delta to the snapshot, route cache and
-  /// last_scoped_delta().  No-op when incremental epochs are off (the
-  /// legacy version checks handle everything) or nothing changed.  Called
-  /// by the cached-route and flow-plan paths before they consult their
+  /// last_scoped_delta().  No-op when nothing changed.  Called by the
+  /// snapshot, cached-route and flow-plan paths before they consult their
   /// caches; cheap enough to call speculatively.
   void sync_topology_caches() const;
 
@@ -352,7 +330,7 @@ class Network {
   /// Energy draw that bumps liveness_version_ on a death transition.
   bool consume_energy(Node& node, double joules);
 
-  /// Pending-delta accumulation (incremental epochs only; DESIGN.md S26).
+  /// Pending-delta accumulation (incremental epochs; DESIGN.md S26).
   /// Mutators call these BEFORE bumping a version, so the base versions
   /// the delta advances from are captured exactly once per epoch.
   void begin_pending() const;
@@ -400,7 +378,7 @@ class Network {
   mutable std::vector<NodeId> scratch_;  ///< candidate buffer (single-threaded)
   mutable TopologyStats topo_stats_;
 
-  // Incremental-epoch state (inert while incremental_topology_ is false).
+  // Incremental-epoch state.
   struct PendingDelta {
     bool active = false;  ///< a delta is accumulating since (from_*)
     bool global = false;  ///< widened: apply as a full rebuild + clear
@@ -408,7 +386,6 @@ class Network {
     std::uint64_t from_liveness = 0;
     std::vector<NodeId> nodes;  ///< dirty candidates (unsorted, duplicates ok)
   };
-  bool incremental_topology_ = false;
   mutable PendingDelta pending_;
   mutable ScopedDelta last_delta_;
   mutable std::vector<char> dirty_flag_;          ///< per-node dirty marks

@@ -110,15 +110,14 @@ std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
 
 std::vector<NodeId> cached_shortest_path(const Network& network, NodeId src,
                                          NodeId dst) {
-  // Under incremental epochs any pending delta must be applied before the
-  // cache is consulted, so find()'s version check sees current versions
-  // and scoped survivors are served instead of flushed (no-op otherwise).
+  // Any pending delta must be applied before the cache is consulted, so
+  // find()'s version check sees current versions and scoped survivors are
+  // served instead of flushed.
   network.sync_topology_caches();
   RouteCache& cache = network.route_cache();
   const std::uint64_t topo = network.topology_version();
   const std::uint64_t live = network.liveness_version();
   if (const std::vector<NodeId>* hit = cache.find(src, dst, topo, live)) {
-    if (!network.incremental_topology()) return *hit;
     // Cheap insurance on the scoped-survivor path: re-check every hop of
     // the cached route against live connectivity.  The epoch rules make
     // survivors provably fresh, so a failure here marks an invalidation

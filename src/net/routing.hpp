@@ -42,11 +42,10 @@ std::vector<NodeId> shortest_path_naive(const Network& network, NodeId src,
 /// shortest_path() through the network's LRU route cache, keyed by
 /// (src, dst) and valid for one (topology, liveness) version pair — chaos
 /// faults, churn, mobility and battery deaths all invalidate it through
-/// the version discipline.  Under incremental topology epochs
-/// (TopologyConfig::incremental) the pending delta is applied first and
-/// only the entries a change could affect were dropped, so mobility keeps
-/// the warm-hit path alive; surviving hits are additionally revalidated
-/// hop-by-hop against live connectivity before being served.  This is the
+/// the version discipline.  The pending topology delta is applied first
+/// and only the entries a change could affect are dropped, so mobility
+/// keeps the warm-hit path alive; surviving hits are additionally
+/// revalidated hop-by-hop against live connectivity before being served.  This is the
 /// hot entry point for the agent platform's envelope delivery and the
 /// sensornet unicast paths, where message bursts between the same
 /// endpoints amortize one route search.

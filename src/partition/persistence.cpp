@@ -54,6 +54,7 @@ common::Result<std::size_t> load_experience(const std::string& text,
     std::size_t r_count;
   };
   std::vector<CalRow> calibrations;
+  const std::vector<int> cardinality = Features::cardinalities();
 
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -84,6 +85,17 @@ common::Result<std::size_t> load_experience(const std::string& text,
       numbers.pop_back();
       if (numbers.size() != Features::kCount) {
         return R::failure("sample feature count mismatch");
+      }
+      // The tree indexes per-label and per-value tables with these, so
+      // anything outside the trained domain is rejected, not clamped.
+      if (sample.label < 0 ||
+          static_cast<std::size_t>(sample.label) >= all_models().size()) {
+        return R::failure("sample label out of range");
+      }
+      for (std::size_t f = 0; f < Features::kCount; ++f) {
+        if (numbers[f] < 0 || numbers[f] >= cardinality[f]) {
+          return R::failure("sample feature out of range");
+        }
       }
       sample.features = std::move(numbers);
       samples.push_back(std::move(sample));

@@ -1,7 +1,9 @@
 #include "sim/invariants.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 namespace pgrid::sim {
 
@@ -127,6 +129,27 @@ std::optional<std::string> check_sink_tree_consistent(
           << " hops)";
       return out.str();
     }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> check_topology_caches_fresh(
+    const net::Network& network) {
+  std::ostringstream out;
+  const net::TopologySnapshot& snapshot = network.topology_snapshot();
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    const std::vector<net::NodeId> naive = network.neighbors_naive(id);
+    const auto row = snapshot.row(id);
+    if (!std::equal(row.begin(), row.end(), naive.begin(), naive.end())) {
+      out << "snapshot row of node " << id << " has " << row.size()
+          << " neighbour(s), the naive scan " << naive.size();
+      return out.str();
+    }
+  }
+  const auto failures = network.route_cache().stats().revalidation_failures;
+  if (failures != 0) {
+    out << failures << " cached route(s) failed per-hop revalidation";
+    return out.str();
   }
   return std::nullopt;
 }

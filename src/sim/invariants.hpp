@@ -3,9 +3,9 @@
 // A chaos scenario is only as good as the properties it checks afterwards.
 // This module collects named predicates over a deployment's end state —
 // ledger cost conservation, kernel queue exactness, sink-tree consistency
-// after partitions heal, chaos-engine quiescence — and runs them all,
-// reporting every violation with enough detail to debug from the printed
-// seed + schedule alone.  Checks return std::nullopt on success or a
+// after partitions heal, fresh topology caches, chaos-engine quiescence —
+// and runs them all, reporting every violation with enough detail to
+// debug from the printed seed + schedule alone.  Checks return std::nullopt on success or a
 // human-readable detail string on failure; they must not mutate observable
 // simulation state (the kernel probe schedules and cancels its own no-ops,
 // which is invisible to pending()-exactness and determinism).
@@ -86,6 +86,14 @@ std::optional<std::string> check_kernel_pending_exact(Simulator& simulator);
 /// partitions heal" check.
 std::optional<std::string> check_sink_tree_consistent(
     const net::Network& network, net::NodeId sink);
+
+/// The topology caches are fresh: every row of the (possibly delta-patched)
+/// CSR snapshot equals neighbors_naive(), and no cached route has ever
+/// failed its per-hop revalidation.  Reading the snapshot applies any
+/// pending scoped epoch, which changes the work later queries do, never
+/// their answers.
+std::optional<std::string> check_topology_caches_fresh(
+    const net::Network& network);
 
 /// Every injected fault window has healed (active_count() == 0).
 std::optional<std::string> check_chaos_quiescent(const ChaosEngine& engine);

@@ -189,6 +189,9 @@ inline ScenarioResult run_scenario(const ScenarioConfig& config) {
   registry.add("sink-tree-consistent", [&] {
     return sim::check_sink_tree_consistent(runtime.network(), base);
   });
+  registry.add("topology-caches-fresh", [&] {
+    return sim::check_topology_caches_fresh(runtime.network());
+  });
   registry.add("chaos-quiescent",
                [&] { return sim::check_chaos_quiescent(engine); });
   registry.add("query-exactly-once", [&]() -> std::optional<std::string> {

@@ -262,6 +262,24 @@ TEST(InvariantRegistryTest, KernelProbeLeavesQueueUntouched) {
   EXPECT_TRUE(sim.cancel(handle));
 }
 
+TEST_F(ChaosEngineTest, TopologyCachesFreshThroughFaultsAndFlagsRevalidation) {
+  // Warm the caches, cut a link with a blackout, move a node: the patched
+  // snapshot must track the naive scan at every step.
+  ASSERT_EQ(net::cached_shortest_path(network_, 0, 2).size(), 3u);
+  EXPECT_FALSE(sim::check_topology_caches_fresh(network_).has_value());
+  sim::ChaosEngine engine(network_, 1);
+  engine.arm_schedule({make_fault(sim::FaultKind::kBlackout, 1.0, 5.0, 1)});
+  sim_.run_until(sim::SimTime::seconds(2.0));
+  EXPECT_FALSE(sim::check_topology_caches_fresh(network_).has_value());
+  network_.move_node(2, {30.0, 0.0, 0.0});
+  EXPECT_FALSE(sim::check_topology_caches_fresh(network_).has_value());
+  // A revalidation failure means a stale route survived an epoch.
+  network_.route_cache().note_revalidation_failure();
+  const auto detail = sim::check_topology_caches_fresh(network_);
+  ASSERT_TRUE(detail.has_value());
+  EXPECT_NE(detail->find("revalidation"), std::string::npos);
+}
+
 // ---- Seeded sweeps (the ci chaos-smoke workload) -------------------------
 
 std::size_t seeds_per_mix() {

@@ -190,6 +190,28 @@ TEST(CheckpointFormat, RejectsGarbage) {
       core::parse_checkpoint("pgrid-checkpoint-v2\nmeta 0 0 0\n").ok());
 }
 
+TEST(CheckpointFormat, RejectsHostileCounts) {
+  // Counts arrive before the integrity tail, so none may size an
+  // allocation: each of these must fail cleanly, not throw bad_alloc or
+  // length_error.
+  const char* hostile[] = {
+      "pgrid-checkpoint-v1\nmeta 1 0 1000000000000\n",
+      "pgrid-checkpoint-v1\nmeta 1 0 18446744073709551615\n",
+      "pgrid-checkpoint-v1\nmeta 1 0 1\n"
+      "query 1 1 1 1 0 0 1000000000000\nmodel 0\n\ntext 0\n\n",
+      "pgrid-checkpoint-v1\nmeta 1 0 1\n"
+      "query 1 1 1 1 0 0 18446744073709551615\nmodel 0\n\ntext 0\n\n",
+      "pgrid-checkpoint-v1\nmeta 1 0 1\n"
+      "query 1 1 1 1 0 0 0\nmodel 18446744073709551615\nx\n",
+      "pgrid-checkpoint-v1\nmeta 1 0 0\n"
+      "experience 18446744073709551615\nx\n",
+  };
+  for (const char* text : hostile) {
+    const auto parsed = core::parse_checkpoint(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Runtime configuration helpers
 // ---------------------------------------------------------------------------

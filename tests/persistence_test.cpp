@@ -99,6 +99,35 @@ TEST(Persistence, MalformedInputRejected) {
       load_experience("pgrid-experience-v1\nbogus record\n", maker).ok());
 }
 
+TEST(Persistence, OutOfRangeSampleValuesRejected) {
+  // Labels index a per-model table and features a per-value child table
+  // in the decision tree; hostile values must fail the load cleanly
+  // instead of reaching the retrain.
+  const char* hostile[] = {
+      "pgrid-experience-v1\nsample 1 0 0 0 0 0 -> 1000000000\n",
+      "pgrid-experience-v1\nsample 1 0 0 0 0 0 -> 6\n",
+      "pgrid-experience-v1\nsample 1 0 0 0 0 0 -> -1\n",
+      "pgrid-experience-v1\nsample 3 0 0 0 0 0 -> 1\n",
+      "pgrid-experience-v1\nsample 0 0 0 0 2 0 -> 1\n",
+      "pgrid-experience-v1\nsample 0 0 -1 0 0 0 -> 1\n",
+      "pgrid-experience-v1\nsample 0 0 0 0 0 2147483647 -> 1\n",
+  };
+  for (const char* text : hostile) {
+    DecisionMaker maker;
+    EXPECT_FALSE(load_experience(text, maker).ok()) << text;
+    EXPECT_TRUE(maker.samples().empty()) << text;
+  }
+  // The extremes of the valid domain still load and train.
+  DecisionMaker maker;
+  const auto loaded = load_experience(
+      "pgrid-experience-v1\n"
+      "sample 2 2 2 2 1 2 -> 5\n"
+      "sample 0 0 0 0 0 0 -> 0\n",
+      maker);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(loaded.value(), 2u);
+}
+
 TEST(Persistence, LoadReplacesExistingExperience) {
   DecisionMaker donor;
   const auto p = profile_for_test();

@@ -1,9 +1,9 @@
-// Property tests for incremental topology epochs (DESIGN.md S26): with the
-// kill switch ON, delta-patched CSR snapshots and scope-invalidated route
-// caches must stay bit-identical to the fresh-full-rebuild oracle under
-// seeded mobility, churn, battery death, partition-heal and full chaos —
-// and the whole discipline must be outcome-identical to the legacy
-// global-bump mode on the same seeds.  Local route repair
+// Property tests for incremental topology epochs (DESIGN.md S26):
+// delta-patched CSR snapshots and scope-invalidated route caches must stay
+// bit-identical to the fresh-full-rebuild oracle under seeded mobility,
+// churn, battery death, partition-heal and full chaos — and the whole
+// discipline must be outcome-identical to forcing a global epoch on every
+// change, on the same seeds.  Local route repair
 // (ReliableConfig::repair_depth) rides along with its own splice tests.
 #include <gtest/gtest.h>
 
@@ -103,12 +103,10 @@ struct EpochCase {
 };
 
 /// Same mixed deployment as the topology property fixture (sensors + wifi
-/// base + wired backhaul pair), but with incremental epochs switched on
-/// before any traffic runs.
+/// base + wired backhaul pair).
 class EpochProperty : public ::testing::TestWithParam<EpochCase> {
  protected:
   EpochProperty() : net_(sim_, common::Rng(GetParam().seed)) {
-    net_.set_incremental_topology(true);
     NodeConfig config;
     config.kind = NodeKind::kSensor;
     config.radio = LinkClass::sensor_radio();
@@ -263,20 +261,22 @@ TEST_P(EpochProperty, ChaosMobilityChurnStayOracleIdenticalAndExactlyOnce) {
 }
 
 TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
-  // The kill switch must not change a single answer — only the work done
-  // to produce it.  Replay one seeded scenario (moves, churn, death,
-  // mid-run add_node, wired toggles) in both modes and require the full
-  // route/snapshot trace to match bit-for-bit.
+  // Scoped epochs must not change a single answer — only the work done to
+  // produce it.  Replay one seeded scenario (moves, churn, death, mid-run
+  // add_node, wired toggles) twice: once as is, once with an explicit
+  // bump_topology_version() after every step's mutations, which widens
+  // each change to a global epoch (full rebuild, wholesale cache clear).  The full
+  // route/snapshot trace must match bit-for-bit.
   struct Trace {
     std::vector<std::vector<NodeId>> routes;
     std::vector<std::uint32_t> offsets;
     std::vector<NodeId> adjacency;
     std::vector<double> hop_distance;
+    TopologyStats stats;
   };
-  auto run_mode = [&](bool incremental) {
+  auto run_mode = [&](bool force_global) {
     sim::Simulator sim;
     Network net(sim, common::Rng(GetParam().seed));
-    net.set_incremental_topology(incremental);
     NodeConfig config;
     config.kind = NodeKind::kSensor;
     config.radio = LinkClass::sensor_radio();
@@ -325,24 +325,31 @@ TEST_P(EpochProperty, OnAndOffModesAreOutcomeIdentical) {
         net.drain_energy(victim,
                          net.node(victim).energy.capacity() + 1.0);
       }
+      // No cache is read between a step's mutations, so one bump here
+      // turns every one of them into a global epoch.
+      if (force_global) net.bump_topology_version();
       query_batch();
     }
     const auto& snapshot = net.topology_snapshot();
     trace.offsets = snapshot.offsets;
     trace.adjacency = snapshot.adjacency;
     trace.hop_distance = snapshot.hop_distance;
+    trace.stats = net.topology_stats();
     return trace;
   };
 
-  const Trace off = run_mode(false);
-  const Trace on = run_mode(true);
-  ASSERT_EQ(on.routes.size(), off.routes.size());
-  for (std::size_t i = 0; i < off.routes.size(); ++i) {
-    EXPECT_EQ(on.routes[i], off.routes[i]) << "route trace diverged at " << i;
+  const Trace global = run_mode(true);
+  const Trace scoped = run_mode(false);
+  ASSERT_EQ(scoped.routes.size(), global.routes.size());
+  for (std::size_t i = 0; i < global.routes.size(); ++i) {
+    EXPECT_EQ(scoped.routes[i], global.routes[i])
+        << "route trace diverged at " << i;
   }
-  EXPECT_EQ(on.offsets, off.offsets);
-  EXPECT_EQ(on.adjacency, off.adjacency);
-  EXPECT_EQ(on.hop_distance, off.hop_distance);
+  EXPECT_EQ(scoped.offsets, global.offsets);
+  EXPECT_EQ(scoped.adjacency, global.adjacency);
+  EXPECT_EQ(scoped.hop_distance, global.hop_distance);
+  // The forced run really took the old discipline: it never patched.
+  EXPECT_EQ(global.stats.scoped_epochs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -363,7 +370,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
   sim::Simulator sim;
   Network net(sim, common::Rng(9));
-  net.set_incremental_topology(true);
   NodeConfig config;
   config.kind = NodeKind::kSensor;
   config.radio = LinkClass::sensor_radio();
@@ -407,6 +413,42 @@ TEST(EpochScoping, SingleMovePatchesFewRowsAndKeepsDistantRoutes) {
             oracle_route(net, ids[0], ids[99]));
   common::Rng pairs(31);
   expect_epoch_matches_oracle(net, pairs, 8);
+}
+
+TEST(EpochScoping, ShortcutThroughMovedNodeEvictsStillConnectedRoute) {
+  // A -- B -- C is cached (2 hops, ~38.4 m).  X then moves in between A
+  // and C, opening A -- X -- C (2 hops, 30 m).  The cached route is still
+  // connected, so per-hop revalidation cannot save a stale survivor: only
+  // the scoped invalidation rules can drop it.  A far-off filler grid
+  // keeps the dirty set under n/2, so the epoch is scoped, not a rebuild.
+  sim::Simulator sim;
+  Network net(sim, common::Rng(5));
+  NodeConfig config;
+  config.kind = NodeKind::kSensor;
+  config.radio = LinkClass::sensor_radio();
+  config.radio.range_m = 25.0;
+  config.unlimited_energy = true;
+  config.pos = {0.0, 0.0, 0.0};
+  const NodeId a = net.add_node(config);
+  config.pos = {15.0, 12.0, 0.0};
+  const NodeId b = net.add_node(config);
+  config.pos = {30.0, 0.0, 0.0};
+  const NodeId c = net.add_node(config);
+  config.pos = {15.0, -200.0, 0.0};
+  const NodeId x = net.add_node(config);
+  for (int i = 0; i < 36; ++i) {
+    config.pos = {500.0 + 20.0 * (i % 6), 500.0 + 20.0 * (i / 6), 0.0};
+    net.add_node(config);
+  }
+  ASSERT_EQ(cached_shortest_path(net, a, c), (std::vector<NodeId>{a, b, c}));
+
+  const auto before = net.topology_stats();
+  net.move_node(x, Vec3{15.0, 0.0, 0.0});
+  EXPECT_EQ(cached_shortest_path(net, a, c), (std::vector<NodeId>{a, x, c}));
+  EXPECT_EQ(cached_shortest_path(net, a, c), oracle_route(net, a, c));
+  EXPECT_EQ(net.topology_stats().scoped_epochs, before.scoped_epochs + 1)
+      << "the move must take the scoped path this test is about";
+  EXPECT_EQ(net.route_cache().stats().revalidation_failures, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 // Property tests for the analytic flow tier (net/flow.hpp): the closed
 // forms match the packet tier's actual retry loop by Monte Carlo; flow and
 // packet runs of the same seeded deployment stay within the calibration
-// band under mobility, churn and partition-heal; the kill switch (no model,
-// all-packet fidelity, or an armed chaos engine) is bit-identical to the
-// packet-only build; plan caches invalidate on the exact (topology,
-// liveness) version discipline; and the sharded flow backhaul is invariant
-// under the shard fold.
+// band under mobility, churn and partition-heal; the packet fallback under
+// an armed chaos engine is bit-identical to the packet-only build; plan
+// caches follow the network's scoped and global topology epochs; and the
+// sharded flow backhaul is invariant under the shard fold.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -276,17 +275,9 @@ void expect_identical(const PacketWitness& a, const PacketWitness& b,
   EXPECT_EQ(a.totals.reports, b.totals.reports) << label;
 }
 
-TEST(FlowKillSwitch, AllPacketFidelityIsBitIdenticalToDisabled) {
-  const auto disabled = run_witness(small_config(49, false), false);
-  auto config = small_config(49, true);
-  config.flow.default_fidelity = net::Fidelity::kPacket;
-  const auto all_packet = run_witness(std::move(config), false);
-  expect_identical(disabled, all_packet, "all-packet vs disabled");
-}
-
 TEST(FlowKillSwitch, ArmedChaosForcesPacketBitIdentically) {
-  // An installed FaultInjector forces the deployment to packet fidelity
-  // (flow_under_chaos off): the flow-enabled run under chaos must be
+  // An installed FaultInjector forces the deployment to packet fidelity:
+  // the flow-enabled run under chaos must be
   // bit-identical to the disabled run under the identical chaos schedule.
   const auto disabled = run_witness(small_config(49, false), true);
   const auto flowing = run_witness(small_config(49, true), true);
@@ -333,86 +324,70 @@ TEST(FlowFidelity, ForcePacketHoldsAreCountedAndSymmetric) {
   EXPECT_TRUE(flow.hop_eligible(a, b));
 }
 
-TEST(FlowFidelity, RegionOverrideGatesEligibility) {
-  core::PervasiveGridRuntime rt(small_config(16, true));
-  net::FlowModel& flow = *rt.flow_model();
-  const auto& ids = rt.sensors().sensors();
-  // No ShardMap installed: every node sits in kInvalidRegion, so the
-  // override for that region flips the whole deployment.
-  EXPECT_EQ(flow.region_fidelity(net::kInvalidRegion), net::Fidelity::kFlow);
-  flow.set_region_fidelity(net::kInvalidRegion, net::Fidelity::kPacket);
-  EXPECT_FALSE(flow.hop_eligible(ids[0], ids[1]));
-  flow.set_region_fidelity(net::kInvalidRegion, net::Fidelity::kFlow);
-  EXPECT_TRUE(flow.hop_eligible(ids[0], ids[1]));
-}
-
-TEST(FlowFidelity, CongestionShareScalesWithActiveFlows) {
-  auto config = small_config(36, true);
-  config.flow.congestion_alpha = 0.5;
-  core::PervasiveGridRuntime rt(config);
-  net::FlowModel& flow = *rt.flow_model();
-  const net::SinkTree& tree = rt.sensors().tree();
-  // Deepest sensor's route to the sink: every flow sent along it occupies
-  // its links until the analytic completion event fires.
-  net::NodeId deep = rt.sensors().sensors()[0];
-  for (net::NodeId id : rt.sensors().sensors()) {
-    if (tree.contains(id) && tree.depth(id) > tree.depth(deep)) deep = id;
-  }
-  const auto route = tree.route_to_sink(deep);
-  ASSERT_GE(route.size(), 2u);
-  EXPECT_DOUBLE_EQ(flow.congestion_factor(route[0], route[1]), 1.0);
-
-  ASSERT_TRUE(flow.route_eligible(route));
-  flow.send_flow(route, 64, [](bool, std::size_t) {});
-  EXPECT_DOUBLE_EQ(flow.congestion_factor(route[0], route[1]), 1.5)
-      << "one active flow at alpha=0.5";
-  flow.send_flow(route, 64, [](bool, std::size_t) {});
-  EXPECT_DOUBLE_EQ(flow.congestion_factor(route[0], route[1]), 2.0);
-  rt.simulator().run();
-  EXPECT_DOUBLE_EQ(flow.congestion_factor(route[0], route[1]), 1.0)
-      << "links drain when completions fire";
-}
-
 // ---------------------------------------------------------------------------
 // Plan cache: the RouteCache version discipline, exactly.
 
 TEST(FlowPlans, CacheHitsAndVersionInvalidation) {
-  core::PervasiveGridRuntime rt(small_config(36, true));
+  // 20x20 sensors at 15 m: wide enough that one node's spatial gather
+  // block is well under half the deployment, so single changes apply as
+  // scoped topology epochs rather than widening to a rebuild.
+  core::PervasiveGridRuntime rt(small_config(400, true));
   net::FlowModel& flow = *rt.flow_model();
-  const auto route = rt.sensors().tree().route_to_sink(
-      rt.sensors().sensors().back());
+  const auto& sensors = rt.sensors().sensors();
+  const auto route = rt.sensors().tree().route_to_sink(sensors.back());
   ASSERT_GE(route.size(), 2u);
+  // A one-hop route at the sink's corner, far from route[0].
+  const auto near = rt.sensors().tree().route_to_sink(sensors.front());
+  ASSERT_EQ(near.size(), 2u);
 
   // Construction traffic already planned a flow at a pre-tree topology
   // version, so every expectation below is a delta from this baseline.
   const net::FlowStats base = flow.stats();
   flow.send_flow(route, 32, [](bool, std::size_t) {});
+  flow.send_flow(near, 32, [](bool, std::size_t) {});
   rt.simulator().run();
-  EXPECT_EQ(flow.stats().plan_misses, base.plan_misses + 1);
+  EXPECT_EQ(flow.stats().plan_misses, base.plan_misses + 2);
   flow.send_flow(route, 32, [](bool, std::size_t) {});
   rt.simulator().run();
   EXPECT_EQ(flow.stats().plan_hits, base.plan_hits + 1);
 
-  // Mobility bumps the topology version: the next flow must re-plan.
+  // Mobility with the snapshot current (any route lookup keeps it so in a
+  // running deployment) is a scoped epoch: the plan through the moved
+  // node is dropped and re-planned, the far-away plan survives and hits.
+  rt.network().topology_snapshot();
   const net::FlowStats settled = flow.stats();
   auto pos = rt.network().node(route[0]).pos;
   pos.x += 1.0;
   rt.network().move_node(route[0], pos);
   flow.send_flow(route, 32, [](bool, std::size_t) {});
+  flow.send_flow(near, 32, [](bool, std::size_t) {});
   rt.simulator().run();
-  EXPECT_EQ(flow.stats().plan_invalidations,
-            settled.plan_invalidations + 1);
+  EXPECT_EQ(flow.stats().plan_scoped_epochs, settled.plan_scoped_epochs + 1);
+  EXPECT_EQ(flow.stats().plans_dropped, settled.plans_dropped + 1);
+  EXPECT_EQ(flow.stats().plans_kept, settled.plans_kept + 1);
   EXPECT_EQ(flow.stats().plan_misses, settled.plan_misses + 1);
+  EXPECT_EQ(flow.stats().plan_hits, settled.plan_hits + 1);
+  EXPECT_EQ(flow.stats().plan_invalidations, settled.plan_invalidations);
 
-  // Battery death moves the liveness version without touching topology.
-  const net::NodeId victim = rt.sensors().sensors()[2];
+  // Battery death next to the sink moves the liveness version without
+  // touching topology; still scoped (the patched snapshot stays current),
+  // and both plans end at the sink inside the dirty block.
+  const net::NodeId victim = sensors[1];
   const auto before = rt.network().liveness_version();
   rt.network().drain_energy(victim, 1e9);
   ASSERT_GT(rt.network().liveness_version(), before);
   flow.send_flow(route, 32, [](bool, std::size_t) {});
   rt.simulator().run();
-  EXPECT_EQ(flow.stats().plan_invalidations,
-            settled.plan_invalidations + 2);
+  EXPECT_EQ(flow.stats().plan_scoped_epochs, settled.plan_scoped_epochs + 2);
+  EXPECT_EQ(flow.stats().plans_dropped, settled.plans_dropped + 3);
+  EXPECT_EQ(flow.stats().plan_invalidations, settled.plan_invalidations);
+
+  // An explicit bump is a global epoch: the cache clears wholesale.
+  rt.network().bump_topology_version();
+  flow.send_flow(route, 32, [](bool, std::size_t) {});
+  rt.simulator().run();
+  EXPECT_EQ(flow.stats().plan_scoped_epochs, settled.plan_scoped_epochs + 2);
+  EXPECT_EQ(flow.stats().plan_invalidations, settled.plan_invalidations + 1);
 }
 
 TEST(FlowPlans, BrokenRouteFailsAtTheBrokenHopWithoutCharge) {

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/runtime.hpp"
+#include "partition/models.hpp"
+#include "query/parser.hpp"
 
 namespace pgrid {
 namespace {
@@ -22,14 +26,49 @@ core::RuntimeConfig scenario_config() {
   return config;
 }
 
+sensornet::FireSource scenario_fire() {
+  sensornet::FireSource fire;
+  fire.pos = {60, 60, 0};
+  fire.start = sim::SimTime::seconds(-3600.0);
+  fire.spread_m_per_s = 0.0;
+  return fire;
+}
+
+std::vector<partition::SolutionModel> candidate_models(
+    core::PervasiveGridRuntime& rt, const std::string& q) {
+  const auto parsed = query::parse_query(q);
+  return partition::candidates_for(
+      rt.classifier().classify(parsed.value()).inner);
+}
+
+/// The oracle for what_if_all: one what_if() per candidate model, in
+/// candidate order, on the calling thread.  Outcomes must match
+/// bit-for-bit, not approximately.
+void expect_matches_serial_loop(core::PervasiveGridRuntime& rt,
+                                const std::string& q) {
+  const auto batched = rt.what_if_all(q);
+  const auto models = candidate_models(rt, q);
+  ASSERT_EQ(batched.size(), models.size());
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const auto serial = rt.what_if(q, models[i]);
+    ASSERT_TRUE(serial.ok) << serial.error;
+    EXPECT_EQ(batched[i].model, serial.model);
+    EXPECT_EQ(batched[i].ok, serial.ok);
+    EXPECT_EQ(batched[i].actual.value, serial.actual.value);
+    EXPECT_EQ(batched[i].actual.energy_j, serial.actual.energy_j);
+    EXPECT_EQ(batched[i].actual.response_s, serial.actual.response_s);
+    EXPECT_EQ(batched[i].actual.data_bytes, serial.actual.data_bytes);
+    EXPECT_EQ(batched[i].actual.compute_ops, serial.actual.compute_ops);
+    EXPECT_EQ(batched[i].handheld_response_s, serial.handheld_response_s);
+    EXPECT_EQ(batched[i].telemetry.network_bytes(),
+              serial.telemetry.network_bytes());
+  }
+}
+
 class WhatIfFixture : public ::testing::Test {
  protected:
   WhatIfFixture() : runtime_(scenario_config()) {
-    sensornet::FireSource fire;
-    fire.pos = {60, 60, 0};
-    fire.start = sim::SimTime::seconds(-3600.0);
-    fire.spread_m_per_s = 0.0;
-    runtime_.field().ignite(fire);
+    runtime_.field().ignite(scenario_fire());
   }
   core::PervasiveGridRuntime runtime_;
 };
@@ -97,41 +136,13 @@ TEST_F(WhatIfFixture, OracleLabelFromTrialsFeedsTheLearner) {
 TEST_F(WhatIfFixture, ParallelTrialsBitIdenticalToSerial) {
   // what_if_all evaluates candidate clones concurrently on the runtime's
   // pool; every clone is an isolated deterministic deployment, so the
-  // parallel outcomes must be bit-for-bit the serial ones, in candidate
-  // order.  Run a parallel deployment (4 pool workers, 4 trials in flight)
-  // against a strictly serial one built from the same scenario.
-  auto parallel_config = scenario_config();
-  parallel_config.pool_threads = 4;
-  parallel_config.what_if_parallelism = 4;
-  auto serial_config = scenario_config();
-  serial_config.pool_threads = 4;  // same solver chunking as the clones
-  serial_config.what_if_parallelism = 1;
-  core::PervasiveGridRuntime parallel_rt(parallel_config);
-  core::PervasiveGridRuntime serial_rt(serial_config);
-  sensornet::FireSource fire;
-  fire.pos = {60, 60, 0};
-  fire.start = sim::SimTime::seconds(-3600.0);
-  fire.spread_m_per_s = 0.0;
-  parallel_rt.field().ignite(fire);
-  serial_rt.field().ignite(fire);
-
-  const std::string q = "SELECT AVG(temp) FROM sensors";
-  const auto par = parallel_rt.what_if_all(q);
-  const auto ser = serial_rt.what_if_all(q);
-  ASSERT_EQ(par.size(), ser.size());
-  for (std::size_t i = 0; i < par.size(); ++i) {
-    EXPECT_EQ(par[i].model, ser[i].model);
-    EXPECT_EQ(par[i].ok, ser[i].ok);
-    // Bit-identical, not approximately equal.
-    EXPECT_EQ(par[i].actual.value, ser[i].actual.value);
-    EXPECT_EQ(par[i].actual.energy_j, ser[i].actual.energy_j);
-    EXPECT_EQ(par[i].actual.response_s, ser[i].actual.response_s);
-    EXPECT_EQ(par[i].actual.data_bytes, ser[i].actual.data_bytes);
-    EXPECT_EQ(par[i].actual.compute_ops, ser[i].actual.compute_ops);
-    EXPECT_EQ(par[i].handheld_response_s, ser[i].handheld_response_s);
-    EXPECT_EQ(par[i].telemetry.network_bytes(),
-              ser[i].telemetry.network_bytes());
-  }
+  // parallel outcomes must be bit-for-bit a serial what_if() loop, in
+  // candidate order.  4 pool workers run the 4 trials at once.
+  auto config = scenario_config();
+  config.pool_threads = 4;
+  core::PervasiveGridRuntime rt(config);
+  rt.field().ignite(scenario_fire());
+  expect_matches_serial_loop(rt, "SELECT AVG(temp) FROM sensors");
 }
 
 TEST_F(WhatIfFixture, ParallelTrialsLeaveTheRealDeploymentUntouched) {
@@ -148,52 +159,26 @@ TEST_F(WhatIfFixture, ParallelTrialsLeaveTheRealDeploymentUntouched) {
 }
 
 TEST_F(WhatIfFixture, SerialThresholdForcesSerialPathBitIdentically) {
-  // Raising the serial threshold above the candidate count must route
-  // what_if_all down the serial path — and since the parallel path is
-  // bit-identical by contract, the outcomes cannot change.
-  auto thresholded_config = scenario_config();
-  thresholded_config.pool_threads = 4;
-  thresholded_config.what_if_serial_threshold = 100;
-  auto batched_config = scenario_config();
-  batched_config.pool_threads = 4;
-  batched_config.what_if_serial_threshold = 0;
-  core::PervasiveGridRuntime thresholded(thresholded_config);
-  core::PervasiveGridRuntime batched(batched_config);
-
-  const std::string q = "SELECT AVG(temp) FROM sensors";
-  const auto serial = thresholded.what_if_all(q);
-  const auto parallel = batched.what_if_all(q);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].actual.value, parallel[i].actual.value);
-    EXPECT_EQ(serial[i].actual.energy_j, parallel[i].actual.energy_j);
-    EXPECT_EQ(serial[i].actual.data_bytes, parallel[i].actual.data_bytes);
-  }
+  // A simple query has a single candidate model, below what_if_all's
+  // parallel threshold, so it takes the serial fallback even with idle
+  // pool workers — and must still answer exactly like what_if().
+  auto config = scenario_config();
+  config.pool_threads = 4;
+  core::PervasiveGridRuntime rt(config);
+  rt.field().ignite(scenario_fire());
+  const std::string q = "SELECT temp FROM sensors WHERE sensor = 24";
+  ASSERT_EQ(candidate_models(rt, q).size(), 1u);
+  expect_matches_serial_loop(rt, q);
 }
 
 TEST_F(WhatIfFixture, BatchedTrialsWithFewerWorkersThanCandidates) {
-  // what_if_parallelism = 2 splits 4 candidates into two batches of two:
-  // the batch boundaries must not leak into the outcomes.
-  auto batched_config = scenario_config();
-  batched_config.pool_threads = 4;
-  batched_config.what_if_parallelism = 2;
-  auto serial_config = scenario_config();
-  serial_config.pool_threads = 4;
-  serial_config.what_if_parallelism = 1;
-  core::PervasiveGridRuntime batched(batched_config);
-  core::PervasiveGridRuntime serial(serial_config);
-
-  const std::string q = "SELECT AVG(temp) FROM sensors";
-  const auto two_batches = batched.what_if_all(q);
-  const auto one_by_one = serial.what_if_all(q);
-  ASSERT_EQ(two_batches.size(), one_by_one.size());
-  for (std::size_t i = 0; i < two_batches.size(); ++i) {
-    EXPECT_EQ(two_batches[i].model, one_by_one[i].model);
-    EXPECT_EQ(two_batches[i].actual.value, one_by_one[i].actual.value);
-    EXPECT_EQ(two_batches[i].actual.energy_j, one_by_one[i].actual.energy_j);
-    EXPECT_EQ(two_batches[i].telemetry.network_bytes(),
-              one_by_one[i].telemetry.network_bytes());
-  }
+  // 2 pool workers split 4 candidates into two batches of two: the batch
+  // boundaries must not leak into the outcomes.
+  auto config = scenario_config();
+  config.pool_threads = 2;
+  core::PervasiveGridRuntime rt(config);
+  rt.field().ignite(scenario_fire());
+  expect_matches_serial_loop(rt, "SELECT AVG(temp) FROM sensors");
 }
 
 TEST_F(WhatIfFixture, ParseErrorSurfaces) {
