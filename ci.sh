@@ -24,22 +24,26 @@ for preset in default asan-ubsan; do
   ctest --preset "${preset}" -j "${JOBS}" -LE heavy
 done
 
-echo "=== tsan: lockstep sharding + thread pool under the race detector ==="
+echo "=== tsan: lockstep sharding, thread pool and the city lanes under the race detector ==="
 # The sharded lockstep layer is the one place worker threads touch
 # simulators concurrently (one lane per shard, mailbox exchange at window
 # barriers), so its property suite, sharded failover (checkpoints and
-# neighbour adoption on parallel lanes) and the thread-pool/runtime suites
-# run under ThreadSanitizer.  Gated on libtsan actually linking, so the stage
-# degrades to a notice on images without it.
+# neighbour adoption on parallel lanes), the thread-pool/runtime suites and
+# the flow-tier city (four regions on four lanes, bench_scenario --city
+# --quick with its gates) run under ThreadSanitizer.  Gated on libtsan
+# actually linking, so the stage degrades to a notice on images without it.
 if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - -o /tmp/pgrid_tsan_probe 2>/dev/null; then
   rm -f /tmp/pgrid_tsan_probe
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
-    --target test_common test_property_shard test_whatif test_failover
+    --target test_common test_property_shard test_whatif test_failover \
+    bench_scenario
   for tsan_bin in test_common test_property_shard test_whatif test_failover; do
     TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
       "out/tsan/tests/${tsan_bin}"
   done
+  TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
+    out/tsan/bench/bench_scenario --city --quick > /dev/null
 else
   echo "tsan: libtsan unavailable on this image; stage skipped"
 fi

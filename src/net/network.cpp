@@ -82,7 +82,9 @@ void Network::drain_energy(NodeId id, double joules) {
 }
 
 const Network::WiredLink* Network::find_wired(NodeId a, NodeId b) const {
-  if (wired_index_.empty()) return nullptr;
+  // Most nodes (every sensor) have no wired peer at all: answer from the
+  // peer list before hashing the pair.
+  if (a >= wired_peers_.size() || wired_peers_[a].empty()) return nullptr;
   auto it = wired_index_.find(pair_key(a, b));
   return it == wired_index_.end() ? nullptr : &wired_[it->second];
 }
@@ -103,19 +105,21 @@ void Network::collect_neighbors(NodeId id, std::vector<NodeId>& out) const {
   // Candidate superset: the spatial block around the node (covers every
   // wireless peer within mutual range, since cells are at least as wide as
   // any radio range) plus its wired peers.  connected() then applies the
-  // exact check, so the result is identical to the naive full scan.
+  // exact check, so the result is identical to the naive full scan.  The
+  // filter runs first: only the few survivors are sorted, and a wired peer
+  // that is also in radio range is deduplicated there.
   scratch_.clear();
   if (nodes_[id].radio.wireless) grid_.gather(id, scratch_);
   if (id < wired_peers_.size()) {
     scratch_.insert(scratch_.end(), wired_peers_[id].begin(),
                     wired_peers_[id].end());
   }
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (NodeId candidate : scratch_) {
     if (connected(id, candidate)) out.push_back(candidate);
   }
+  std::sort(out.begin() + first, out.end());
+  out.erase(std::unique(out.begin() + first, out.end()), out.end());
 }
 
 std::vector<NodeId> Network::neighbors(NodeId id) const {
@@ -349,21 +353,26 @@ void Network::bump_topology_version() {
 }
 
 std::optional<LinkClass> Network::link_between(NodeId a, NodeId b) const {
-  if (fault_injector_ && fault_injector_->severed(a, b)) return std::nullopt;
+  const LinkClass* link = usable_link(a, b);
+  if (link == nullptr) return std::nullopt;
+  return *link;
+}
+
+const LinkClass* Network::usable_link(NodeId a, NodeId b) const {
+  if (fault_injector_ && fault_injector_->severed(a, b)) return nullptr;
   if (const WiredLink* w = find_wired(a, b)) {
-    if (!w->up) return std::nullopt;
-    return w->link;
+    return w->up ? &w->link : nullptr;
   }
-  if (!connected(a, b)) return std::nullopt;
+  if (!connected(a, b)) return nullptr;
   // Wireless: the slower radio bounds the hop.
   const LinkClass& la = nodes_[a].radio;
   const LinkClass& lb = nodes_[b].radio;
-  return la.bandwidth_bps <= lb.bandwidth_bps ? la : lb;
+  return la.bandwidth_bps <= lb.bandwidth_bps ? &la : &lb;
 }
 
 void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
                        DeliveryCallback cb) {
-  auto link = link_between(from, to);
+  const LinkClass* link = usable_link(from, to);
   if (!link) {
     // No usable link: fail asynchronously so callers see uniform semantics.
     sim_.schedule(sim::SimTime::zero(),
@@ -709,10 +718,18 @@ void Network::reset_stats() {
 
 void Network::reset_energy() {
   reset_stats();
-  for (auto& n : nodes_) n.energy.reset();
-  // Mass resurrection: every dead node's links reappear at once.
-  note_global_change();
-  ++topology_version_;
+  bool revived = false;
+  for (auto& n : nodes_) {
+    revived = revived || n.energy.dead();
+    n.energy.reset();
+  }
+  // Mass resurrection: every dead node's links reappear at once.  With no
+  // dead node connectivity is unchanged, so the snapshot, route cache and
+  // flow plans all stay valid and no epoch opens.
+  if (revived) {
+    note_global_change();
+    ++topology_version_;
+  }
 }
 
 double Network::battery_energy_consumed() const {

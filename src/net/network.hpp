@@ -283,7 +283,9 @@ class Network {
   const SpatialGrid& spatial_grid() const { return grid_; }
   /// Clears aggregate stats, per-node counters, and the cost ledger.
   void reset_stats();
-  /// Also clears per-node counters and refills batteries.
+  /// Also clears per-node counters and refills batteries.  Reviving a
+  /// battery-dead node is a global topology epoch; with none dead,
+  /// connectivity is unchanged and no epoch opens.
   void reset_energy();
 
   /// The deployment's cost ledger.  Every transmission charges it (bytes
@@ -323,6 +325,10 @@ class Network {
   }
 
   const WiredLink* find_wired(NodeId a, NodeId b) const;
+  /// link_between() without the copy: the link a transmission a->b would
+  /// use, or nullptr when none is usable.  Points into nodes_ or wired_, so
+  /// it is valid until the next add_node / add_wired_link.
+  const LinkClass* usable_link(NodeId a, NodeId b) const;
   void spread_from(const std::shared_ptr<SpreadState>& state, NodeId at);
   /// Candidate gathering + exact filtering behind neighbors() and the
   /// snapshot build; appends the sorted neighbour set of `id` to `out`.

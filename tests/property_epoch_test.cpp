@@ -20,6 +20,7 @@
 #include "net/reliable.hpp"
 #include "net/routing.hpp"
 #include "sim/chaos.hpp"
+#include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
 
 namespace pgrid::net {
@@ -449,6 +450,88 @@ TEST(EpochScoping, ShortcutThroughMovedNodeEvictsStillConnectedRoute) {
   EXPECT_EQ(net.topology_stats().scoped_epochs, before.scoped_epochs + 1)
       << "the move must take the scoped path this test is about";
   EXPECT_EQ(net.route_cache().stats().revalidation_failures, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// reset_energy(): a global epoch only when it revives a dead battery
+// ---------------------------------------------------------------------------
+
+/// 6x6 battery sensors at 15 m pitch (sensor radio: 25 m).
+struct ResetRig {
+  sim::Simulator sim;
+  Network net;
+  std::vector<NodeId> ids;
+
+  ResetRig() : net(sim, common::Rng(13)) {
+    NodeConfig config;
+    config.kind = NodeKind::kSensor;
+    config.radio = LinkClass::sensor_radio();
+    config.battery_j = 2.0;
+    ids = deploy_grid(net, 36, 75.0, 75.0, config);
+  }
+};
+
+TEST(EpochReset, NoDeadNodeOpensNoEpochAndKeepsCaches) {
+  ResetRig rig;
+  Network& net = rig.net;
+  const auto route = cached_shortest_path(net, rig.ids[0], rig.ids[35]);
+  ASSERT_GE(route.size(), 3u);
+  net.transmit(rig.ids[0], rig.ids[1], 64, [](bool) {});
+  rig.sim.run();
+  ASSERT_GT(net.battery_energy_consumed(), 0.0);
+  ASSERT_EQ(net.dead_node_count(), 0u);
+
+  const auto topo = net.topology_version();
+  const auto live = net.liveness_version();
+  const auto stats = net.topology_stats();
+  const auto hits = net.route_cache().stats().hits;
+  net.reset_energy();
+
+  EXPECT_EQ(net.battery_energy_consumed(), 0.0) << "batteries still refill";
+  EXPECT_EQ(net.topology_version(), topo);
+  EXPECT_EQ(net.liveness_version(), live);
+  EXPECT_EQ(cached_shortest_path(net, rig.ids[0], rig.ids[35]), route);
+  EXPECT_EQ(net.route_cache().stats().hits, hits + 1)
+      << "the route cached before the reset must still hit";
+  net.topology_snapshot();
+  EXPECT_EQ(net.topology_stats().snapshot_builds, stats.snapshot_builds);
+  EXPECT_EQ(net.topology_stats().global_epochs, stats.global_epochs);
+  EXPECT_EQ(net.topology_stats().scoped_epochs, stats.scoped_epochs);
+}
+
+TEST(EpochReset, RevivingADeadNodeRestoresItsLinks) {
+  ResetRig rig;
+  Network& net = rig.net;
+  const NodeId victim = rig.ids[14];  // interior: eight radio neighbours
+  const auto row = net.topology_snapshot().row(victim);
+  const std::vector<NodeId> live_row(row.begin(), row.end());
+  ASSERT_FALSE(live_row.empty());
+
+  net.drain_energy(victim, 1e9);
+  ASSERT_FALSE(net.alive(victim));
+  EXPECT_TRUE(net.topology_snapshot().row(victim).empty());
+  const auto topo = net.topology_version();
+  const auto global = net.topology_stats().global_epochs;
+
+  net.reset_energy();
+  EXPECT_TRUE(net.alive(victim));
+  EXPECT_GT(net.topology_version(), topo);
+  const auto& snapshot = net.topology_snapshot();
+  EXPECT_EQ(net.topology_stats().global_epochs, global + 1);
+  const auto revived = snapshot.row(victim);
+  EXPECT_TRUE(std::equal(revived.begin(), revived.end(), live_row.begin(),
+                         live_row.end()))
+      << "the revived node's links must reappear";
+  for (NodeId id = 0; id < net.size(); ++id) {
+    const auto naive = net.neighbors_naive(id);
+    const auto got = snapshot.row(id);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), naive.begin(),
+                           naive.end()))
+        << "snapshot row diverged at node " << id;
+  }
+  EXPECT_EQ(sim::check_topology_caches_fresh(net), std::nullopt);
+  EXPECT_EQ(cached_shortest_path(net, rig.ids[0], rig.ids[35]),
+            oracle_route(net, rig.ids[0], rig.ids[35]));
 }
 
 // ---------------------------------------------------------------------------
