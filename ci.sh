@@ -89,7 +89,8 @@ echo "=== bench smoke: kernel + decision maker + topology + reliability + city +
 # every mobility step) enforced in the exit code.  The mobile run is the
 # EXP-N3 scenario slice: the query suite under seeded waypoint walkers,
 # gating on cached routes equal to shortest_path_naive and snapshot rows
-# equal to neighbors_naive at every sync point.
+# equal to neighbors_naive at every sync point; kept as BENCH_mobile.json
+# (rows patched, scoped and global epochs, route-cache hits).
 out/default/bench/bench_sim_kernel --json --quick > BENCH_kernel.json
 out/default/bench/bench_decision_maker --json > /tmp/bench_dm.json
 out/default/bench/bench_routing --json --quick > BENCH_topology.json
@@ -97,8 +98,8 @@ out/default/bench/bench_resilience --chaos --json > BENCH_resilience.json
 out/default/bench/bench_resilience --failover --quick --json > BENCH_failover.json
 out/default/bench/bench_scenario --city --quick --json > BENCH_scenario.json
 out/default/bench/bench_scenario --load --quick --json > BENCH_load.json
-out/default/bench/bench_scenario --mobile --json > /tmp/bench_mobile.json
-python3 - BENCH_kernel.json /tmp/bench_dm.json BENCH_topology.json BENCH_resilience.json BENCH_failover.json BENCH_scenario.json BENCH_load.json /tmp/bench_mobile.json <<'PY'
+out/default/bench/bench_scenario --mobile --json > BENCH_mobile.json
+python3 - BENCH_kernel.json /tmp/bench_dm.json BENCH_topology.json BENCH_resilience.json BENCH_failover.json BENCH_scenario.json BENCH_load.json BENCH_mobile.json <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as fh:

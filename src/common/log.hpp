@@ -15,12 +15,19 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Active telemetry trace id; nonzero values prefix every log line with
-/// `#<trace>` so narration correlates with cost-ledger rows.  The simulation
-/// kernel keeps this in sync with its trace context — callers rarely set it
-/// directly.
-void set_log_trace(std::uint64_t trace);
-std::uint64_t log_trace();
+namespace detail {
+/// Backing store of set_log_trace/log_trace: one per thread, constant
+/// initialized, so reads and writes are plain thread-local accesses.
+inline constinit thread_local std::uint64_t t_log_trace = 0;
+}  // namespace detail
+
+/// Active telemetry trace id of the calling thread; nonzero values prefix
+/// the thread's log lines with `#<trace>` so narration correlates with
+/// cost-ledger rows.  The simulation kernel keeps this in sync with its
+/// trace context — callers rarely set it directly.  Thread-local, so
+/// simulators running on different lanes never see each other's trace.
+inline void set_log_trace(std::uint64_t trace) { detail::t_log_trace = trace; }
+inline std::uint64_t log_trace() { return detail::t_log_trace; }
 
 /// Emits one line to stderr with a level tag. Prefer the PGRID_LOG macro.
 void log_line(LogLevel level, const std::string& message);

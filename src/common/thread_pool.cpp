@@ -10,15 +10,10 @@ namespace {
 thread_local const ThreadPool* t_current_pool = nullptr;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+ThreadPool::ThreadPool(std::size_t threads)
+    : size_(threads != 0 ? threads
+                         : std::max<std::size_t>(
+                               1, std::thread::hardware_concurrency())) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -31,6 +26,11 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::on_worker_thread() const { return t_current_pool == this; }
 
+std::size_t ThreadPool::started_threads() const {
+  std::lock_guard lock(mutex_);
+  return workers_.size();
+}
+
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   // noexcept shim: a throwing task aborts here, at the site of the throw,
   // enforcing the pool's "tasks must not throw" contract.
@@ -40,6 +40,14 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
     assert(!stopping_ && "ThreadPool::submit after shutdown began");
+    if (workers_.empty()) {
+      // First submit: start the workers.  They block on mutex_ until this
+      // task is queued.
+      workers_.reserve(size_);
+      for (std::size_t i = 0; i < size_; ++i) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+    }
     tasks_.push(std::move(packaged));
   }
   cv_.notify_one();

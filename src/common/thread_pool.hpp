@@ -15,29 +15,38 @@
 
 namespace pgrid::common {
 
-/// Simple task-queue thread pool.
+/// Simple task-queue thread pool.  Workers start on the first submit(), so
+/// a pool that only ever runs work inline (a one-worker pool used through
+/// parallel_for, or one never used at all) starts no thread.
 ///
 /// Contract: tasks must not throw.  submit() wraps every task in a noexcept
 /// shim, so a throwing task terminates loudly at the throw site instead of
 /// parking the exception in a future nobody reads.
 class ThreadPool {
  public:
-  /// threads == 0 selects hardware_concurrency (at least 1).
+  /// threads == 0 selects hardware_concurrency (at least 1).  No thread
+  /// starts until the first submit().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// Configured worker count (whether or not the workers have started).
+  std::size_t size() const { return size_; }
+
+  /// Worker threads started so far: 0 until the first submit(), size()
+  /// after it.
+  std::size_t started_threads() const;
 
   /// True when the calling thread is one of this pool's workers.  Blocking
   /// on pool work from inside the pool can deadlock; parallel_for uses this
   /// to degrade to inline execution instead.
   bool on_worker_thread() const;
 
-  /// Enqueues a task; the future resolves when it completes.  Must not be
-  /// called during/after destruction (asserted).
+  /// Enqueues a task; the future resolves when it completes.  The first
+  /// call starts the workers.  Must not be called during/after destruction
+  /// (asserted).
   std::future<void> submit(std::function<void()> task);
 
   /// Splits [0, n) into contiguous chunks across the pool and blocks until
@@ -59,15 +68,16 @@ class ThreadPool {
 
   /// Chunks parallel_for/parallel_for_chunks will split [0, n) into.
   std::size_t chunk_count(std::size_t n) const {
-    return n < workers_.size() ? n : workers_.size();
+    return n < size_ ? n : size_;
   }
 
  private:
   void worker_loop();
 
-  std::vector<std::thread> workers_;
+  std::size_t size_;
+  std::vector<std::thread> workers_;  ///< guarded by mutex_
   std::queue<std::packaged_task<void()>> tasks_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
 };

@@ -10,6 +10,22 @@
 
 namespace pgrid::net {
 
+namespace {
+
+/// Schedules cb(kDelivered) after `delay`.  The outcome is a template
+/// argument rather than a capture, so the closure is exactly one
+/// DeliveryCallback and fits the kernel's inline event buffer: a frame
+/// completion allocates nothing.
+template <bool kDelivered>
+void schedule_delivery(sim::Simulator& simulator, sim::SimTime delay,
+                       Network::DeliveryCallback cb) {
+  auto fire = [cb = std::move(cb)]() mutable { cb(kDelivered); };
+  static_assert(sim::Simulator::Callback::stores_inline<decltype(fire)>);
+  simulator.schedule(delay, std::move(fire));
+}
+
+}  // namespace
+
 std::string to_string(NodeKind kind) {
   switch (kind) {
     case NodeKind::kSensor: return "sensor";
@@ -102,12 +118,12 @@ bool Network::connected(NodeId a, NodeId b) const {
 
 void Network::collect_neighbors(NodeId id, std::vector<NodeId>& out) const {
   if (!alive(id)) return;
-  // Candidate superset: the spatial block around the node (covers every
-  // wireless peer within mutual range, since cells are at least as wide as
-  // any radio range) plus its wired peers.  connected() then applies the
-  // exact check, so the result is identical to the naive full scan.  The
-  // filter runs first: only the few survivors are sorted, and a wired peer
-  // that is also in radio range is deduplicated there.
+  // Candidate superset: the indexed nodes within the node's own range
+  // (every wireless peer within mutual range is among them) plus its wired
+  // peers.  connected() then applies the exact check, so the result is
+  // identical to the naive full scan.  The filter runs first: only the few
+  // survivors are sorted, and a wired peer that is also in radio range is
+  // deduplicated there.
   scratch_.clear();
   if (nodes_[id].radio.wireless) grid_.gather(id, scratch_);
   if (id < wired_peers_.size()) {
@@ -185,10 +201,10 @@ void Network::begin_pending() const {
 void Network::note_scoped_change(NodeId id) const {
   begin_pending();
   if (pending_.global) return;
-  // The rows a change at `id` can affect: `id` itself, every node in its
-  // spatial gather block (connectivity requires d <= min(ra, rb) <= r_id,
-  // so any peer whose row lists `id` sits inside `id`'s own range box),
-  // and its wired peers (their rows carry hop distances to `id`).
+  // The rows a change at `id` can affect: `id` itself, every node its
+  // gather returns (connectivity requires d <= min(ra, rb) <= r_id, so any
+  // peer whose row lists `id` lies within `id`'s own range of it), and its
+  // wired peers (their rows carry hop distances to `id`).
   pending_.nodes.push_back(id);
   if (id < nodes_.size() && nodes_[id].radio.wireless) {
     grid_.gather(id, pending_.nodes);
@@ -375,8 +391,7 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
   const LinkClass* link = usable_link(from, to);
   if (!link) {
     // No usable link: fail asynchronously so callers see uniform semantics.
-    sim_.schedule(sim::SimTime::zero(),
-                  [cb = std::move(cb)]() mutable { cb(false); });
+    schedule_delivery<false>(sim_, sim::SimTime::zero(), std::move(cb));
     return;
   }
 
@@ -487,8 +502,11 @@ void Network::transmit(NodeId from, NodeId to, std::uint64_t bytes,
   }
   total += effect.extra_delay;
   ledger_.charge(subsystem, usage);
-  sim_.schedule(total,
-                [cb = std::move(cb), success]() mutable { cb(success); });
+  if (success) {
+    schedule_delivery<true>(sim_, total, std::move(cb));
+  } else {
+    schedule_delivery<false>(sim_, total, std::move(cb));
+  }
 }
 
 void Network::send_route(const std::vector<NodeId>& route, std::uint64_t bytes,
@@ -672,7 +690,7 @@ void Network::set_node_up(NodeId id, bool up) {
   if (n.up != up) {
     // The affected rows are `id`'s own and those of its (potential)
     // neighbours — the same set whether the node is going down or coming
-    // up, since the gather block is purely geometric.
+    // up, since the gather is purely geometric.
     note_scoped_change(id);
     n.up = up;
     ++topology_version_;
@@ -750,7 +768,7 @@ std::size_t Network::dead_node_count() const {
 
 std::vector<NodeId> deploy_grid(Network& network, std::size_t count,
                                 double width_m, double height_m,
-                                const NodeConfig& base_config) {
+                                const NodeConfig& base_config, Vec3 origin) {
   std::vector<NodeId> ids;
   ids.reserve(count);
   const auto side = static_cast<std::size_t>(
@@ -760,8 +778,9 @@ std::vector<NodeId> deploy_grid(Network& network, std::size_t count,
     const std::size_t col = i % side;
     NodeConfig config = base_config;
     const double denom = side > 1 ? static_cast<double>(side - 1) : 1.0;
-    config.pos = Vec3{width_m * static_cast<double>(col) / denom,
-                      height_m * static_cast<double>(row) / denom, 0.0};
+    config.pos = origin + Vec3{width_m * static_cast<double>(col) / denom,
+                               height_m * static_cast<double>(row) / denom,
+                               0.0};
     ids.push_back(network.add_node(config));
   }
   return ids;
@@ -770,13 +789,14 @@ std::vector<NodeId> deploy_grid(Network& network, std::size_t count,
 std::vector<NodeId> deploy_random(Network& network, std::size_t count,
                                   double width_m, double height_m,
                                   const NodeConfig& base_config,
-                                  common::Rng& rng) {
+                                  common::Rng& rng, Vec3 origin) {
   std::vector<NodeId> ids;
   ids.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     NodeConfig config = base_config;
-    config.pos =
-        Vec3{rng.uniform(0.0, width_m), rng.uniform(0.0, height_m), 0.0};
+    // Braced initialisation evaluates left to right: x is drawn before y.
+    config.pos = origin + Vec3{rng.uniform(0.0, width_m),
+                               rng.uniform(0.0, height_m), 0.0};
     ids.push_back(network.add_node(config));
   }
   return ids;

@@ -132,11 +132,14 @@ class FaultInjector {
 /// the simulator when the (simulated) transfer completes.
 class Network {
  public:
-  /// Move-only small-buffer callables (PR 2 kernel convention): the unicast
-  /// delivery paths — including the reliability layer's retransmissions —
-  /// complete without allocating for their continuations.  Dissemination
-  /// callbacks stay std::function (they are copied across branches).
-  using DeliveryCallback = common::SmallFn<void(bool delivered)>;
+  /// Move-only small-buffer callables (the kernel's convention): the
+  /// unicast delivery paths — including the reliability layer's
+  /// retransmissions — complete without allocating for their
+  /// continuations.  A DeliveryCallback keeps a 48-byte buffer so that,
+  /// at 64 bytes in all, the frame-completion event holding it fits the
+  /// kernel's 64-byte inline buffer.  Dissemination callbacks stay
+  /// std::function (they are copied across branches).
+  using DeliveryCallback = common::SmallFn<void(bool delivered), 48>;
   using RouteCallback =
       common::SmallFn<void(bool delivered, std::size_t hops)>;
   using VisitCallback = std::function<void(NodeId)>;
@@ -160,8 +163,9 @@ class Network {
   bool connected(NodeId a, NodeId b) const;
 
   /// All nodes directly reachable from `id` right now, ascending id order.
-  /// Served from the spatial index + wired peer lists: only the 3x3x3 cell
-  /// block around the node is inspected, not the whole deployment.
+  /// Served from the spatial index + wired peer lists: only the nodes
+  /// within `id`'s own range (found in the 3x3x3 cell block around it) and
+  /// its wired peers are checked, not the whole deployment.
   std::vector<NodeId> neighbors(NodeId id) const;
 
   /// Reference implementation of neighbors(): the O(N) scan over every
@@ -341,8 +345,8 @@ class Network {
   /// the delta advances from are captured exactly once per epoch.
   void begin_pending() const;
   /// Marks the rows a change at `id` can affect dirty: the node itself,
-  /// everything in its spatial gather block (any peer whose row lists `id`
-  /// lies within `id`'s own range box) and its wired peers.
+  /// everything its spatial gather returns (any peer whose row lists `id`
+  /// lies within `id`'s own range of it) and its wired peers.
   void note_scoped_change(NodeId id) const;
   /// Widens the pending delta to a full rebuild (unscopeable mutation).
   void note_global_change() const;
@@ -403,16 +407,20 @@ class Network {
   mutable std::vector<NodeId> patch_row_;
 };
 
-/// Places `count` nodes on a uniform grid inside [0,width]x[0,height] at
-/// z = 0; returns their ids.  Convenience for the building scenarios.
+/// Places `count` nodes on a uniform grid over the rectangle
+/// [0,width]x[0,height] at z = 0, translated by `origin` (each node is
+/// added at `origin + local`, never moved afterwards); returns their ids.
+/// Convenience for the building scenarios.
 std::vector<NodeId> deploy_grid(Network& network, std::size_t count,
                                 double width_m, double height_m,
-                                const NodeConfig& base_config);
+                                const NodeConfig& base_config,
+                                Vec3 origin = {});
 
-/// Places nodes uniformly at random in the same rectangle.
+/// Places nodes uniformly at random in the same translated rectangle,
+/// drawing x then y per node.
 std::vector<NodeId> deploy_random(Network& network, std::size_t count,
                                   double width_m, double height_m,
                                   const NodeConfig& base_config,
-                                  common::Rng& rng);
+                                  common::Rng& rng, Vec3 origin = {});
 
 }  // namespace pgrid::net

@@ -101,8 +101,9 @@ void SpatialGrid::gather(NodeId id, std::vector<NodeId>& out) const {
   const Vec3 pos = entry.pos;
   // Every connected peer lies within the querier's own range r (the link
   // test is d <= min(ra, rb) <= r), so only cells intersecting the box
-  // pos ± r can hold neighbours.  r <= cell size, so each axis spans at
-  // most 3 cells; short-range radios usually span 1-2.
+  // pos ± r can hold neighbours, and only members within distance r of
+  // pos are kept.  r <= cell size, so each axis spans at most 3 cells;
+  // short-range radios usually span 1-2.
   const double r = entry.range_m;
   const std::int64_t x0 = spatial_cell_coord(pos.x - r, cell_m_);
   const std::int64_t x1 = spatial_cell_coord(pos.x + r, cell_m_);
@@ -129,8 +130,14 @@ void SpatialGrid::gather(NodeId id, std::vector<NodeId>& out) const {
         seen[seen_count++] = key;
         auto it = cells_.find(key);
         if (it == cells_.end()) continue;
+        // The same distance() on the same stored positions as connected(),
+        // so no peer within range is lost to rounding and no slack is
+        // needed.  distance() is exactly symmetric (b - a negates a - b
+        // exactly), so this also bounds the rows that list `id`.
         for (NodeId member : it->second) {
-          if (member != id) out.push_back(member);
+          if (member != id && distance(pos, entries_[member].pos) <= r) {
+            out.push_back(member);
+          }
         }
       }
     }

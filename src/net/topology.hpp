@@ -11,7 +11,8 @@
 //  - SpatialGrid: an incremental spatial hash over wireless node positions
 //    (cell size = the largest radio range seen), updated in place by
 //    mobility moves instead of rebuilt, so a neighbour query inspects only
-//    the 3x3x3 cell block around a node.
+//    the 3x3x3 cell block around a node and returns only the nodes within
+//    the querier's own range.
 //  - TopologySnapshot: a CSR-style flat adjacency built lazily once per
 //    (topology, liveness) version and shared by the route search, SinkTree
 //    construction and flooding, so multi-node algorithms stop re-deriving
@@ -52,11 +53,9 @@ std::uint64_t spatial_cell_key(Vec3 pos, double cell_m);
 
 /// Incremental spatial hash over wireless node positions.  Cells are cubes
 /// of side >= the largest radio range indexed, so every pair within mutual
-/// range lands in adjacent cells and gather() over the cells within a
-/// node's own range (at most a 3x3x3 block) is a superset of its true
-/// radio neighbourhood.  Cell coordinates
-/// are hashed to 64-bit keys; a key collision merely merges two buckets
-/// (the caller filters candidates through the exact connectivity check),
+/// range lands in adjacent cells and gather() scans at most a 3x3x3 block.
+/// Cell coordinates are hashed to 64-bit keys; a key collision merely
+/// merges two buckets, and gather() filters members by distance anyway,
 /// so the structure is correct for any coordinates.
 class SpatialGrid {
  public:
@@ -67,13 +66,16 @@ class SpatialGrid {
   /// Moves an indexed node to a new position; no-op for unindexed ids.
   void move(NodeId id, Vec3 pos);
 
-  /// Appends every indexed node in the cells overlapping the box
-  /// `pos ± range` around `id` (excluding `id` itself) to `out`.  Any
-  /// connected peer lies within `id`'s own range (connectivity requires
-  /// d <= min(ra, rb) <= ra), and range <= cell size, so the scan touches
-  /// at most a 3x3x3 block — usually far fewer cells for short-range
-  /// radios.  Unsorted, may contain hash-collision strays; always a
-  /// superset of the in-range peers.
+  /// Appends every other indexed node within `id`'s own range of `id`
+  /// (`distance(pos_id, pos_peer) <= range_id`, on the stored positions)
+  /// to `out`.  Connectivity requires d <= min(ra, rb) <= ra and computes
+  /// d with the same distance() on the same positions, so the result is
+  /// an exact superset of the peers Network::connected() accepts — with
+  /// no slack constant.  Only the cells overlapping the box
+  /// `pos ± range` are scanned (range <= cell size: at most a 3x3x3
+  /// block, usually far fewer cells for short-range radios).  Unsorted;
+  /// liveness, wired links and the peer's own range are left to the
+  /// caller's exact check.
   void gather(NodeId id, std::vector<NodeId>& out) const;
 
   double cell_size_m() const { return cell_m_; }

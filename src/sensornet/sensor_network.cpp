@@ -22,30 +22,24 @@ SensorNetwork::SensorNetwork(net::Network& network,
   sensor_config.radio = config_.radio;
   sensor_config.battery_j = config_.battery_j;
   const std::size_t floors = std::max<std::size_t>(1, config_.floors);
-  // A non-zero world origin translates the whole deployment after local
-  // placement; with the default zero origin no node is touched, keeping the
-  // legacy single-region layout byte-identical (no extra move_node calls).
-  const bool shifted = !(config_.origin == net::Vec3{});
+  // Each storey is placed directly at its world position: the local
+  // layout translated by the origin and lifted to the floor's height.
+  // Adding every sensor where it belongs costs one add_node and no
+  // move_node, and yields the same coordinates as placing locally and then
+  // shifting (origin + local == local + origin in IEEE arithmetic).
   for (std::size_t floor = 0; floor < floors; ++floor) {
-    const double z = static_cast<double>(floor) * config_.floor_height_m;
+    const net::Vec3 storey_origin{
+        config_.origin.x, config_.origin.y,
+        config_.origin.z + static_cast<double>(floor) * config_.floor_height_m};
     std::vector<net::NodeId> storey;
     if (config_.grid_placement) {
       storey = net::deploy_grid(network_, config_.sensor_count,
                                 config_.width_m, config_.height_m,
-                                sensor_config);
+                                sensor_config, storey_origin);
     } else {
       storey = net::deploy_random(network_, config_.sensor_count,
                                   config_.width_m, config_.height_m,
-                                  sensor_config, rng_);
-    }
-    if (floor > 0 || shifted) {
-      for (net::NodeId id : storey) {
-        auto pos = network_.node(id).pos;
-        pos.x += config_.origin.x;
-        pos.y += config_.origin.y;
-        pos.z = config_.origin.z + z;
-        network_.move_node(id, pos);
-      }
+                                  sensor_config, rng_, storey_origin);
     }
     sensors_.insert(sensors_.end(), storey.begin(), storey.end());
   }
@@ -161,6 +155,12 @@ struct TreeRound {
   /// deepest level first, so parents hold complete subtree states when
   /// their turn comes.
   std::vector<std::vector<net::NodeId>> levels;
+  /// Packet-tier round: the level whose transmissions are in flight and how
+  /// many of them have yet to complete.  One level is in flight at a time,
+  /// so a level's own states are final while it sends and a completion
+  /// reads them instead of carrying a copy.
+  std::size_t level = 0;
+  std::size_t level_pending = 0;
 
   TreeRound(const net::SinkTree& tree, net::NodeId base, std::size_t nodes,
             const std::vector<std::pair<net::NodeId, double>>& qualified)
@@ -262,29 +262,35 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
       return;
     }
     const auto& level_nodes = tag->levels[depth];
-    auto pending = std::make_shared<std::size_t>(level_nodes.size());
     if (level_nodes.empty()) {
       (*run_level)(depth - 1);
       return;
     }
+    tag->level = depth;
+    tag->level_pending = level_nodes.size();
     for (net::NodeId id : level_nodes) {
       const net::NodeId parent = routing_tree->parent(id);
-      auto advance = [this, pending, run_level, depth] {
-        if (--*pending == 0) (*run_level)(depth - 1);
+      auto advance = [tag, run_level] {
+        if (--tag->level_pending == 0) (*run_level)(tag->level - 1);
       };
       if (tag->states[id].count == 0 || !network_.alive(id)) {
         network_.simulator().schedule(sim::SimTime::zero(), advance);
         continue;
       }
-      const AggregateState to_send = tag->states[id];
-      const std::size_t contributed = tag->contributions[id];
-      auto complete = [tag, parent, to_send, contributed, advance](bool ok) {
+      // Reads the child's state at completion (final while its level
+      // sends) instead of carrying a copy, so the closure stays within a
+      // delivery callback's inline buffer and a hop allocates nothing.
+      auto complete = [tag, run_level, id, parent](bool ok) {
         if (ok) {
-          tag->states[parent].merge(to_send);
-          tag->contributions[parent] += contributed;
+          tag->states[parent].merge(tag->states[id]);
+          tag->contributions[parent] += tag->contributions[id];
         }
-        advance();
+        if (--tag->level_pending == 0) (*run_level)(tag->level - 1);
       };
+      static_assert(
+          net::Network::DeliveryCallback::stores_inline<decltype(complete)> &&
+          net::ReliableChannel::DeliverCallback::stores_inline<
+              decltype(complete)>);
       if (reliable_) {
         // Parent hops become acked transfers: a lost partial state is
         // retransmitted instead of silently shrinking the subtree.

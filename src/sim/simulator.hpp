@@ -272,10 +272,12 @@ class TraceContextGuard {
 // simulator.cpp.
 
 inline void Simulator::set_trace_context(std::uint64_t trace) {
-  if (trace == trace_) return;
   trace_ = trace;
   // Keep log lines correlatable with ledger rows (PGRID_LOG prefixes the
-  // active trace id).  The kernel is the only writer of the log trace.
+  // active trace id).  The kernel is the only writer of the log trace.  It
+  // is per thread and several simulators can share a thread (the regions
+  // of one lane), so it is written on every switch, not only when this
+  // simulator's own context changes.
   common::set_log_trace(trace);
 }
 

@@ -49,6 +49,7 @@ struct ScenarioResult {
   std::size_t queries_ok = 0;
   std::size_t queries_failed = 0;
   pgrid::net::NetworkStats net_stats;
+  pgrid::net::TopologyStats topology;  ///< scoped vs global epochs taken
   pgrid::telemetry::Cost ledger_total;
   double ledger_chaos_count = 0.0;
 
@@ -170,6 +171,7 @@ inline ScenarioResult run_scenario(const ScenarioConfig& config) {
 
   result.faults_injected = engine.injected().size();
   result.net_stats = runtime.network().stats();
+  result.topology = runtime.network().topology_stats();
   result.ledger_total = runtime.telemetry().total();
   result.ledger_chaos_count = static_cast<double>(
       runtime.telemetry()

@@ -323,6 +323,33 @@ TEST(ChaosSweep, PartitionStorm) {
   sweep_mix(sim::ChaosMix::partition_storm());
 }
 
+TEST(ChaosSweep, ScopedEpochsRunUnderTheInvariants) {
+  // The harness's 49-sensor, 40 m floor used to take only global epochs:
+  // gathers returned the whole block of cells sized by the handheld's
+  // wifi, so every delta dirtied more than half the rows.  Gathers now
+  // return only nodes within range, so a sensor's crash or battery death
+  // dirties its own neighbourhood and the epoch is patched, with every
+  // invariant (topology-caches-fresh included) holding at drain.  Pinned
+  // over the sweep's disconnection-heavy seeds, which take 19.
+  std::uint64_t scoped = 0;
+  std::uint64_t patches = 0;
+  for (std::size_t i = 0; i < 17; ++i) {
+    chaos_harness::ScenarioConfig config;
+    config.seed = 1000 + i * 7919;
+    config.mix = sim::ChaosMix::disconnection_heavy();
+    config.fault_count = 10;
+    config.horizon_s = 60.0;
+    config.sensor_count = 49;
+    const auto result = chaos_harness::run_scenario(config);
+    ASSERT_TRUE(result.passed())
+        << "seed " << config.seed << ":\n" << result.violation_text();
+    scoped += result.topology.scoped_epochs;
+    patches += result.topology.snapshot_patches;
+  }
+  EXPECT_EQ(scoped, 19u);
+  EXPECT_EQ(patches, 19u);
+}
+
 // ---- Forced violation: seed -> minimize -> replay -------------------------
 
 TEST(ChaosForcedViolation, ReproducesFromSeedAndMinimizedSchedule) {

@@ -10,12 +10,14 @@
 #include <set>
 #include <thread>
 
+#include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/small_fn.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/simulator.hpp"
 
 namespace pgrid::common {
 namespace {
@@ -227,6 +229,36 @@ TEST(ThreadPool, SingleWorkerParallelForRunsInline) {
   for (int t : touched) EXPECT_EQ(t, 1);
 }
 
+TEST(ThreadPool, WorkersStartOnFirstSubmit) {
+  // A one-worker pool used only through parallel_for runs everything
+  // inline and so starts no thread at all; the region runtimes of a
+  // one-lane sharded world rely on this to stay single threaded.
+  ThreadPool serial(1);
+  std::vector<int> touched(100, 0);
+  serial.parallel_for(100, [&](std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) ++touched[i];
+  });
+  for (int t : touched) EXPECT_EQ(t, 1);
+  EXPECT_EQ(serial.size(), 1u);
+  EXPECT_EQ(serial.started_threads(), 0u);
+
+  // A wider pool reports its configured size before any work and starts
+  // exactly that many workers on the first submit.
+  ThreadPool wide(3);
+  EXPECT_EQ(wide.size(), 3u);
+  EXPECT_EQ(wide.chunk_count(100), 3u);
+  EXPECT_EQ(wide.started_threads(), 0u);
+  std::atomic<int> covered{0};
+  wide.parallel_for(90, [&covered](std::size_t first, std::size_t last) {
+    covered += static_cast<int>(last - first);
+  });
+  EXPECT_EQ(covered.load(), 90);
+  EXPECT_EQ(wide.started_threads(), 3u);
+  wide.submit([&covered] { ++covered; }).get();
+  EXPECT_EQ(covered.load(), 91);
+  EXPECT_EQ(wide.started_threads(), 3u);
+}
+
 TEST(ThreadPool, ParallelForFromWorkerDoesNotDeadlock) {
   // A worker that blocks on parallel_for futures served by its own queue
   // would deadlock a saturated pool; the pool degrades to inline execution
@@ -326,6 +358,55 @@ TEST(SmallFn, MoveOnlyCaptureAndArguments) {
   SmallFn<int(int), 48> fn(
       [p = std::move(owned)](int x) { return *p + x; });
   EXPECT_EQ(fn(10), 15);
+}
+
+TEST(LogTrace, EachThreadReadsBackItsOwnSimulatorsTrace) {
+  // Two lanes, each driving its own simulator on its own thread and
+  // switching between two traces of its own on every event: the log trace
+  // a thread reads back is always its own simulator's current trace.
+  constexpr int kEvents = 2000;
+  std::atomic<int> ready{0};
+  auto drive = [&ready](std::uint64_t first_trace, int* mismatches) {
+    sim::Simulator sim;
+    for (int i = 0; i < kEvents; ++i) {
+      const std::uint64_t trace = first_trace + std::uint64_t(i % 2);
+      sim::TraceContextGuard scope(sim, trace);
+      sim.schedule(sim::SimTime::microseconds(i), [trace, mismatches] {
+        if (log_trace() != trace) ++*mismatches;
+      });
+    }
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    sim.run();
+  };
+  int mismatches_a = 0;
+  int mismatches_b = 0;
+  std::thread lane_a(drive, std::uint64_t{100}, &mismatches_a);
+  std::thread lane_b(drive, std::uint64_t{200}, &mismatches_b);
+  lane_a.join();
+  lane_b.join();
+  EXPECT_EQ(mismatches_a, 0);
+  EXPECT_EQ(mismatches_b, 0);
+  // The main thread never ran a simulator: its trace is untouched.
+  EXPECT_EQ(log_trace(), 0u);
+}
+
+TEST(LogTrace, SimulatorsSharingAThreadEachSetTheirOwn) {
+  // The regions of one lane run their simulators on one thread: switching
+  // back to a simulator whose context did not change must still restore
+  // its trace for the log.
+  sim::Simulator a;
+  sim::Simulator b;
+  a.set_trace_context(5);
+  b.set_trace_context(7);
+  a.set_trace_context(5);
+  EXPECT_EQ(log_trace(), 5u);
+  std::uint64_t seen = 0;
+  b.schedule(sim::SimTime::zero(), [&seen] { seen = log_trace(); });
+  b.run();
+  EXPECT_EQ(seen, 7u);
+  a.set_trace_context(0);
+  b.set_trace_context(0);
 }
 
 TEST(Table, AlignsAndCounts) {

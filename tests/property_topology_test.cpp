@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -507,6 +508,199 @@ TEST(RowBuild, MixedCandidatesMatchNaiveAndLinkPathsAgree) {
   net.set_fault_injector(&cut);
   check({{w[0]}, {g, w[1]}, {w[0]}, {w[3]}, {w[2]}, {}});
   net.set_fault_injector(nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Spatial gather: exactly the nodes within the querier's own range
+// ---------------------------------------------------------------------------
+
+/// The gather contract by brute force: every other wireless node whose
+/// position lies within `id`'s own range of `id`, ascending.
+std::vector<NodeId> gather_oracle(const Network& net, NodeId id) {
+  std::vector<NodeId> out;
+  const Node& self = net.node(id);
+  if (!self.radio.wireless) return out;
+  const double range = std::max(self.radio.range_m, 0.0);
+  for (NodeId other = 0; other < net.size(); ++other) {
+    if (other != id && net.node(other).radio.wireless &&
+        distance(self.pos, net.node(other).pos) <= range) {
+      out.push_back(other);
+    }
+  }
+  return out;
+}
+
+/// Asserts, for every node, that gather() returns exactly the oracle set
+/// and that the indexed row and the snapshot row (built or patched, with
+/// its hop distances) equal the naive scan.
+void expect_gather_and_rows_exact(const Network& net) {
+  const auto& snapshot = net.topology_snapshot();
+  std::vector<NodeId> gathered;
+  for (NodeId id = 0; id < net.size(); ++id) {
+    gathered.clear();
+    net.spatial_grid().gather(id, gathered);
+    std::sort(gathered.begin(), gathered.end());
+    ASSERT_EQ(gathered, gather_oracle(net, id)) << "gather of node " << id;
+    const auto naive = net.neighbors_naive(id);
+    ASSERT_EQ(net.neighbors(id), naive) << "indexed row of node " << id;
+    const auto row = snapshot.row(id);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), naive.begin(),
+                           naive.end()))
+        << "snapshot row of node " << id;
+    const auto hop = snapshot.row_distance(id);
+    for (std::size_t k = 0; k < naive.size(); ++k) {
+      ASSERT_EQ(hop[k], distance(net.node(id).pos, net.node(naive[k]).pos))
+          << "hop distance " << id << " -> " << naive[k];
+    }
+  }
+}
+
+LinkClass radio_with_range(double range_m) {
+  LinkClass radio = LinkClass::sensor_radio();
+  radio.range_m = range_m;
+  return radio;
+}
+
+NodeId add_at(Network& net, Vec3 pos, const LinkClass& radio) {
+  NodeConfig config;
+  config.kind = NodeKind::kSensor;
+  config.radio = radio;
+  config.pos = pos;
+  config.unlimited_energy = true;
+  return net.add_node(config);
+}
+
+TEST(SpatialGather, PairsExactlyAtRangeAreKeptAndOneUlpBeyondIsNot) {
+  sim::Simulator sim;
+  Network net(sim, common::Rng(1));
+  const LinkClass radio = radio_with_range(25.0);
+  struct Pair {
+    NodeId a;
+    NodeId b;
+    bool in_range;
+  };
+  std::vector<Pair> pairs;
+  // Anchors 1 km apart, so each pair is alone in its neighbourhood.  The
+  // 3-4-5 triangle scaled to 25 m, in every orientation and across floors,
+  // lies exactly at range; so do the axis-aligned offsets.
+  const std::vector<Vec3> at_range = {
+      {15.0, 20.0, 0.0}, {20.0, 15.0, 0.0},  {-15.0, -20.0, 0.0},
+      {20.0, -15.0, 0.0}, {0.0, 25.0, 0.0},  {25.0, 0.0, 0.0},
+      {0.0, 15.0, 20.0}, {15.0, 0.0, -20.0}, {0.0, 0.0, 25.0}};
+  double x = 0.0;
+  for (const Vec3& offset : at_range) {
+    const Vec3 anchor{x, 500.0, 8.0};
+    const NodeId a = add_at(net, anchor, radio);
+    const NodeId b = add_at(net, anchor + offset, radio);
+    ASSERT_EQ(distance(net.node(a).pos, net.node(b).pos), 25.0);
+    pairs.push_back({a, b, true});
+    x += 1000.0;
+  }
+  // One ulp beyond the range: the peer's coordinate on one axis is the
+  // next double past the at-range one.
+  for (int axis = 0; axis < 3; ++axis) {
+    const Vec3 anchor{x, 500.0, 8.0};
+    Vec3 peer = anchor + Vec3{axis == 0 ? 25.0 : 0.0, axis == 1 ? 25.0 : 0.0,
+                              axis == 2 ? 25.0 : 0.0};
+    double& coord = axis == 0 ? peer.x : axis == 1 ? peer.y : peer.z;
+    coord = std::nextafter(coord, 1e9);
+    const NodeId a = add_at(net, anchor, radio);
+    const NodeId b = add_at(net, peer, radio);
+    ASSERT_GT(distance(net.node(a).pos, net.node(b).pos), 25.0);
+    pairs.push_back({a, b, false});
+    x += 1000.0;
+  }
+  // Decimal coordinates: the same triangle from anchors that are not
+  // binary fractions, so the computed distance lands on, just under or
+  // just over 25 m depending on rounding.  Whatever it is, gather and
+  // connected() must agree on it.
+  std::size_t exact_decimal = 0;
+  for (const double base : {0.1, 0.3, 0.7, 1.1, 2.9, 12.34, 98.76}) {
+    const Vec3 anchor{x + base, 500.0 + base, 8.0 + base};
+    const NodeId a = add_at(net, anchor, radio);
+    const NodeId b = add_at(net, anchor + Vec3{15.0, 20.0, 0.0}, radio);
+    const double d = distance(net.node(a).pos, net.node(b).pos);
+    if (d == 25.0) ++exact_decimal;
+    pairs.push_back({a, b, d <= 25.0});
+    x += 1000.0;
+  }
+  EXPECT_GT(exact_decimal, 0u) << "no decimal pair lands exactly at range";
+
+  expect_gather_and_rows_exact(net);
+  for (const Pair& pair : pairs) {
+    EXPECT_EQ(net.connected(pair.a, pair.b), pair.in_range)
+        << pair.a << " - " << pair.b;
+    const auto row = net.neighbors(pair.a);
+    EXPECT_EQ(row.size() == 1 && row.front() == pair.b, pair.in_range)
+        << "row of " << pair.a;
+  }
+}
+
+TEST(SpatialGather, MixedRadiosFloorsAndWalkersStayExactThroughScopedEpochs) {
+  sim::Simulator sim;
+  Network net(sim, common::Rng(2));
+  // Three floors of a 10 x 10 grid, 15 m apart, with 10 m, 25 m and
+  // zero-range radios interleaved; two 100 m wifi nodes set the cell size.
+  const LinkClass radios[] = {radio_with_range(10.0), radio_with_range(25.0),
+                              radio_with_range(0.0), radio_with_range(25.0)};
+  std::vector<NodeId> grid;
+  for (int floor = 0; floor < 3; ++floor) {
+    for (int row = 0; row < 10; ++row) {
+      for (int col = 0; col < 10; ++col) {
+        const Vec3 pos{15.0 * col, 15.0 * row, 4.0 * floor};
+        grid.push_back(add_at(net, pos, radios[(row + col + floor) % 4]));
+      }
+    }
+  }
+  const LinkClass wifi = LinkClass::wifi();
+  add_at(net, Vec3{0.0, 0.0, 0.0}, wifi);
+  add_at(net, Vec3{135.0, 135.0, 8.0}, wifi);
+  // Zero-range radios connect only to a node at the very same position: a
+  // co-located zero-range twin and a co-located 25 m sensor.
+  const NodeId zero_a = add_at(net, Vec3{60.0, 60.0, 4.0}, radios[2]);
+  const NodeId zero_b = add_at(net, Vec3{60.0, 60.0, 4.0}, radios[2]);
+  add_at(net, Vec3{60.0, 60.0, 4.0}, radios[1]);
+  expect_gather_and_rows_exact(net);
+  ASSERT_TRUE(net.connected(zero_a, zero_b));
+
+  // Walkers with each short radio (and one of the zero-range twins) step
+  // through the building, change floors, and stop exactly at range of a
+  // stationary node and then one ulp beyond it.  Every step is its own
+  // epoch and must take the scoped path.
+  const TopologyStats before = net.topology_stats();
+  const NodeId walkers[] = {grid[0], grid[1], zero_a, grid[103]};
+  common::Rng steps(3);
+  for (int step = 0; step < 24; ++step) {
+    for (const NodeId w : walkers) {
+      Vec3 pos = net.node(w).pos;
+      pos.x = std::clamp(pos.x + steps.uniform(-6.0, 6.0), 0.0, 135.0);
+      pos.y = std::clamp(pos.y + steps.uniform(-6.0, 6.0), 0.0, 135.0);
+      if (step % 6 == 5) pos.z = 4.0 * double(steps.index(3));
+      net.move_node(w, pos);
+    }
+    if (step % 8 == 3) net.set_node_up(grid[150 + step], false);
+    if (step % 8 == 7) net.set_node_up(grid[150 + step - 4], true);
+    expect_gather_and_rows_exact(net);
+  }
+  const NodeId anchor = grid[56];  // 25 m radio, stationary
+  ASSERT_EQ(net.node(anchor).radio.range_m, 25.0);
+  const Vec3 anchor_pos = net.node(anchor).pos;
+  const double beyond = std::nextafter(anchor_pos.y + 20.0, 1e9) - anchor_pos.y;
+  const std::pair<Vec3, bool> stops[] = {
+      {{15.0, 20.0, 0.0}, true},   {{15.0, beyond, 0.0}, false},
+      {{15.0, 20.0, 0.0}, true},   {{-20.0, -15.0, 0.0}, true},
+      {{0.0, 0.0, 25.0}, true}};
+  for (const auto& [offset, in_range] : stops) {
+    net.move_node(grid[1], anchor_pos + offset);
+    expect_gather_and_rows_exact(net);
+    EXPECT_EQ(net.connected(anchor, grid[1]), in_range)
+        << offset.x << ", " << offset.y << ", " << offset.z;
+  }
+  const TopologyStats& after = net.topology_stats();
+  EXPECT_EQ(after.global_epochs, before.global_epochs)
+      << "a walker step widened to a global epoch";
+  EXPECT_EQ(after.scoped_epochs - before.scoped_epochs, 24u + 5u);
+  EXPECT_EQ(after.snapshot_patches - before.snapshot_patches, 24u + 5u);
 }
 
 }  // namespace

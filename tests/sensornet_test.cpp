@@ -164,6 +164,67 @@ TEST(Aggregation, ParseNames) {
 }
 
 // ---------------------------------------------------------------------------
+// Placement: storeys are added at their world position
+// ---------------------------------------------------------------------------
+
+TEST(SensorPlacement, WorldPlacementMatchesAddThenMove) {
+  // A multi-floor deployment away from the world origin, on a grid and at
+  // random: every node must sit exactly where placing the storey locally
+  // and then shifting each sensor with move_node put it.
+  for (const bool grid : {true, false}) {
+    SensorNetworkConfig config;
+    config.sensor_count = 30;  // not a square: a ragged last grid row
+    config.width_m = 90.0;
+    config.height_m = 70.0;
+    config.floors = 3;
+    config.floor_height_m = 3.3;
+    config.grid_placement = grid;
+    config.origin = {1000.1, -2000.3, 4.7};
+    config.base_pos = {-5.0, 7.5, 0.0};
+    sim::Simulator sim;
+    net::Network net(sim, common::Rng(1));
+    SensorNetwork snet(net, config, common::Rng(5));
+
+    // The add-then-move path, replayed on a second network.
+    sim::Simulator ref_sim;
+    net::Network ref(ref_sim, common::Rng(1));
+    common::Rng rng(5);
+    net::NodeConfig sensor;
+    sensor.kind = net::NodeKind::kSensor;
+    sensor.radio = config.radio;
+    sensor.battery_j = config.battery_j;
+    std::vector<net::NodeId> expected;
+    for (std::size_t floor = 0; floor < config.floors; ++floor) {
+      const auto storey =
+          grid ? net::deploy_grid(ref, config.sensor_count, config.width_m,
+                                  config.height_m, sensor)
+               : net::deploy_random(ref, config.sensor_count, config.width_m,
+                                    config.height_m, sensor, rng);
+      for (const net::NodeId id : storey) {
+        auto pos = ref.node(id).pos;
+        pos.x += config.origin.x;
+        pos.y += config.origin.y;
+        pos.z = config.origin.z + double(floor) * config.floor_height_m;
+        ref.move_node(id, pos);
+      }
+      expected.insert(expected.end(), storey.begin(), storey.end());
+    }
+
+    ASSERT_EQ(snet.sensors(), expected);
+    for (const net::NodeId id : expected) {
+      const net::Vec3 got = net.node(id).pos;
+      const net::Vec3 want = ref.node(id).pos;
+      EXPECT_TRUE(got.x == want.x && got.y == want.y && got.z == want.z)
+          << (grid ? "grid" : "random") << " sensor " << id << " at ("
+          << got.x << ", " << got.y << ", " << got.z << "), expected ("
+          << want.x << ", " << want.y << ", " << want.z << ")";
+    }
+    EXPECT_TRUE(net.node(snet.base_station()).pos ==
+                config.base_pos + config.origin);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Fixture: a 7x7 grid network, base at the corner
 // ---------------------------------------------------------------------------
 
