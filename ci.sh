@@ -51,9 +51,11 @@ fi
 echo "=== chaos smoke: 25 seeds/mix, all invariants, asan-ubsan ==="
 # Seeded fault-injection sweep under the sanitizer build: 25 seeds per
 # canned mix (75 scenarios), every invariant checked after each run.  On a
-# violation the test prints the exact seed, mix, and minimized fault
-# schedule; reproduce locally with the printed command, e.g.
-#   PGRID_CHAOS_SEED=<seed> PGRID_CHAOS_MIX=<mix> \
+# violation the test prints the exact seed, mix, fault count, sensor count
+# and horizon, and the minimized fault schedule; reproduce locally with the
+# printed command, e.g.
+#   PGRID_CHAOS_SEED=<seed> PGRID_CHAOS_MIX=<mix> PGRID_CHAOS_FAULTS=10 \
+#   PGRID_CHAOS_SENSORS=16 PGRID_CHAOS_HORIZON_S=60 \
 #     out/asan-ubsan/tests/test_chaos --gtest_filter='ChaosReplay.ReplaySeed'
 PGRID_CHAOS_SEEDS=25 out/asan-ubsan/tests/test_chaos \
   --gtest_filter='ChaosSweep.*'
@@ -75,7 +77,9 @@ echo "=== bench smoke: kernel + decision maker + topology + reliability + city +
 # disabled-path bit-identity; kept as BENCH_failover.json.  The scenario
 # run is EXP-N2 at CI size: the flow-tier calibration sweep against the
 # packet oracle and a sharded multi-region city run in flow mode — all
-# gates enforced via the exit code (full scale: --city without --quick).
+# gates enforced via the exit code.  The full-size city (36 regions x 2,916
+# sensors, ~0.4 s) runs beside it and is kept as BENCH_city.json, so the
+# trajectory carries a full-scale point next to the CI-size one.
 # The load run is EXP-Q1: the multi-query sharing sweep — overlapping
 # standing aggregates with and without shared TAG trees on identical
 # seeds, gating on >=3x sustained qps at <=1% deadline-miss, strictly
@@ -97,9 +101,10 @@ out/default/bench/bench_routing --json --quick > BENCH_topology.json
 out/default/bench/bench_resilience --chaos --json > BENCH_resilience.json
 out/default/bench/bench_resilience --failover --quick --json > BENCH_failover.json
 out/default/bench/bench_scenario --city --quick --json > BENCH_scenario.json
+out/default/bench/bench_scenario --city --json > BENCH_city.json
 out/default/bench/bench_scenario --load --quick --json > BENCH_load.json
 out/default/bench/bench_scenario --mobile --json > BENCH_mobile.json
-python3 - BENCH_kernel.json /tmp/bench_dm.json BENCH_topology.json BENCH_resilience.json BENCH_failover.json BENCH_scenario.json BENCH_load.json BENCH_mobile.json <<'PY'
+python3 - BENCH_kernel.json /tmp/bench_dm.json BENCH_topology.json BENCH_resilience.json BENCH_failover.json BENCH_scenario.json BENCH_city.json BENCH_load.json BENCH_mobile.json <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as fh:

@@ -1,10 +1,11 @@
 #include "core/failover.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "common/text_out.hpp"
 #include "query/canonical.hpp"
 
 namespace pgrid::core {
@@ -12,8 +13,79 @@ namespace {
 
 constexpr const char* kHeader = "pgrid-checkpoint-v1";
 
-void put_double(std::ostream& out, double v) {
-  out << std::setprecision(17) << v;
+/// The image writer: serialize_checkpoint and FailoverManager's snapshot
+/// share it, so both emit the same "pgrid-checkpoint-v1" bytes.
+void write_meta(std::string& out, std::uint64_t seq, double taken_at_s,
+                std::size_t queries) {
+  out += kHeader;
+  out += "\nmeta ";
+  common::append_int(out, seq);
+  out += ' ';
+  common::append_double17(out, taken_at_s);
+  out += ' ';
+  common::append_int(out, queries);
+  out += '\n';
+}
+
+void write_blob_header(std::string& out, std::string_view tag,
+                       std::size_t bytes) {
+  out += tag;
+  out += ' ';
+  common::append_int(out, bytes);
+  out += '\n';
+}
+
+void write_blob(std::string& out, std::string_view tag,
+                const std::string& blob) {
+  write_blob_header(out, tag, blob.size());
+  out += blob;
+  out += '\n';
+}
+
+void write_query(std::string& out, const QueryCheckpoint& q) {
+  out += "query ";
+  common::append_int(out, q.id);
+  out += ' ';
+  common::append_int(out, q.total_epochs);
+  out += ' ';
+  common::append_double17(out, q.epoch_s);
+  out += ' ';
+  common::append_double17(out, q.deadline_s);
+  out += ' ';
+  common::append_double17(out, q.started_s);
+  out += q.queued ? " 1 " : " 0 ";
+  common::append_int(out, q.epochs.size());
+  out += '\n';
+  write_blob(out, "model", q.model);
+  write_blob(out, "text", q.text);
+  for (const EpochRecord& e : q.epochs) {
+    out += "epoch ";
+    out += e.ok ? '1' : '0';
+    out += ' ';
+    out += e.degraded ? '1' : '0';
+    out += ' ';
+    out += e.lost ? '1' : '0';
+    out += ' ';
+    common::append_int(out, e.model);
+    for (const double v :
+         {e.value, e.coverage, e.accuracy, e.energy_j, e.response_s}) {
+      out += ' ';
+      common::append_double17(out, v);
+    }
+    out += ' ';
+    common::append_int(out, e.data_bytes);
+    out += ' ';
+    common::append_double17(out, e.compute_ops);
+    out += '\n';
+  }
+}
+
+/// The integrity tail over everything written so far.
+void seal(std::string& out) {
+  const std::uint64_t checksum = query::fnv1a(out);
+  out += "end ";
+  common::append_hex16(out, checksum);
+  out += '\n';
 }
 
 /// Sequential line/blob reader over the serialized checkpoint.  Blobs are
@@ -58,46 +130,13 @@ bool parse_fields(const std::string& line, const char* tag,
 }  // namespace
 
 std::string serialize_checkpoint(const Checkpoint& checkpoint) {
-  std::ostringstream out;
-  out << kHeader << '\n';
-  out << "meta " << checkpoint.seq << ' ';
-  put_double(out, checkpoint.taken_at_s);
-  out << ' ' << checkpoint.queries.size() << '\n';
-  for (const QueryCheckpoint& q : checkpoint.queries) {
-    out << "query " << q.id << ' ' << q.total_epochs << ' ';
-    put_double(out, q.epoch_s);
-    out << ' ';
-    put_double(out, q.deadline_s);
-    out << ' ';
-    put_double(out, q.started_s);
-    out << ' ' << (q.queued ? 1 : 0) << ' ' << q.epochs.size() << '\n';
-    out << "model " << q.model.size() << '\n' << q.model << '\n';
-    out << "text " << q.text.size() << '\n' << q.text << '\n';
-    for (const EpochRecord& e : q.epochs) {
-      out << "epoch " << (e.ok ? 1 : 0) << ' ' << (e.degraded ? 1 : 0) << ' '
-          << (e.lost ? 1 : 0) << ' ' << e.model << ' ';
-      put_double(out, e.value);
-      out << ' ';
-      put_double(out, e.coverage);
-      out << ' ';
-      put_double(out, e.accuracy);
-      out << ' ';
-      put_double(out, e.energy_j);
-      out << ' ';
-      put_double(out, e.response_s);
-      out << ' ' << e.data_bytes << ' ';
-      put_double(out, e.compute_ops);
-      out << '\n';
-    }
-  }
-  out << "experience " << checkpoint.experience.size() << '\n'
-      << checkpoint.experience << '\n';
-  std::string payload = out.str();
-  std::ostringstream tail;
-  tail << "end " << std::hex << std::setw(16) << std::setfill('0')
-       << query::fnv1a(payload) << '\n';
-  payload += tail.str();
-  return payload;
+  std::string out;
+  write_meta(out, checkpoint.seq, checkpoint.taken_at_s,
+             checkpoint.queries.size());
+  for (const QueryCheckpoint& q : checkpoint.queries) write_query(out, q);
+  write_blob(out, "experience", checkpoint.experience);
+  seal(out);
+  return out;
 }
 
 common::Result<Checkpoint> parse_checkpoint(const std::string& text) {
@@ -191,7 +230,9 @@ FailoverManager::~FailoverManager() {
   if (!config_.experience_path.empty() && save_experience_) {
     std::ofstream out(config_.experience_path,
                       std::ios::binary | std::ios::trunc);
-    if (out) out << save_experience_();
+    std::string experience;
+    save_experience_(experience);
+    if (out) out << experience;
   }
 }
 
@@ -429,10 +470,30 @@ void FailoverManager::restore_from_checkpoint() {
 void FailoverManager::checkpoint_now() {
   if (station_down_) return;
   if (config_.checkpoint_period_s <= 0.0) return;  // checkpointing disabled
-  Checkpoint checkpoint = build_checkpoint();
-  checkpoint.seq = ++checkpoint_seq_;
-  last_checkpoint_ = serialize_checkpoint(checkpoint);
-  last_checkpoint_at_s_ = checkpoint.taken_at_s;
+  // Written straight from the live records, with the experience payload
+  // appended in place and its byte-count header inserted in front of it
+  // afterwards: the same bytes serialize_checkpoint(build_checkpoint())
+  // gives, without copying the records or the payload first.
+  const double taken_at_s = sim_.now().to_seconds();
+  std::size_t live = 0;
+  for (const auto& [id, record] : records_) {
+    if (checkpointed(record)) ++live;
+  }
+  std::string image;
+  image.reserve(last_checkpoint_.size() + last_checkpoint_.size() / 8 + 64);
+  write_meta(image, ++checkpoint_seq_, taken_at_s, live);
+  for (const auto& [id, record] : records_) {
+    if (checkpointed(record)) write_query(image, record.snap);
+  }
+  const std::size_t payload_at = image.size();
+  if (save_experience_) save_experience_(image);
+  std::string header;
+  write_blob_header(header, "experience", image.size() - payload_at);
+  image.insert(payload_at, header);
+  image += '\n';
+  seal(image);
+  last_checkpoint_ = std::move(image);
+  last_checkpoint_at_s_ = taken_at_s;
   ++stats_.checkpoints;
   stats_.checkpoint_bytes += last_checkpoint_.size();
   // The write is charged work, on its own trace: bytes = the serialized
@@ -448,10 +509,9 @@ Checkpoint FailoverManager::build_checkpoint() const {
   checkpoint.seq = checkpoint_seq_;
   checkpoint.taken_at_s = sim_.now().to_seconds();
   for (const auto& [id, record] : records_) {
-    if (record.finalized || record.adopted_elsewhere) continue;
-    checkpoint.queries.push_back(record.snap);
+    if (checkpointed(record)) checkpoint.queries.push_back(record.snap);
   }
-  if (save_experience_) checkpoint.experience = save_experience_();
+  if (save_experience_) save_experience_(checkpoint.experience);
   return checkpoint;
 }
 

@@ -190,9 +190,10 @@ class FailoverManager {
   // --- wiring (installed by the owning runtime) -------------------------
 
   void set_segment_runner(SegmentRunner run) { run_segment_ = std::move(run); }
-  /// save: partition::save_experience over the live learner; load: replay a
-  /// payload into it; reset: drop all learner state (crash RAM loss).
-  void set_experience_hooks(std::function<std::string()> save,
+  /// save: appends partition::save_experience over the live learner to its
+  /// argument; load: replay a payload into it; reset: drop all learner state
+  /// (crash RAM loss).
+  void set_experience_hooks(std::function<void(std::string&)> save,
                             std::function<void(const std::string&)> load,
                             std::function<void()> reset) {
     save_experience_ = std::move(save);
@@ -321,12 +322,17 @@ class FailoverManager {
   /// Write-behind: takes a snapshot when at least one checkpoint period has
   /// elapsed since the last (called from the epoch-commit stream).
   void checkpoint_maybe();
+  /// Does a snapshot carry this record?  (Finalized and peer-owned ones
+  /// are not this station's to replay.)
+  static bool checkpointed(const Record& record) {
+    return !record.finalized && !record.adopted_elsewhere;
+  }
 
   FailoverConfig config_;
   sim::Simulator& sim_;
   telemetry::CostLedger& ledger_;
   SegmentRunner run_segment_;
-  std::function<std::string()> save_experience_;
+  std::function<void(std::string&)> save_experience_;
   std::function<void(const std::string&)> load_experience_;
   std::function<void()> reset_experience_;
   std::function<void()> on_crash_;

@@ -88,7 +88,10 @@ PervasiveGridRuntime::PervasiveGridRuntime(RuntimeConfig config,
       run_failover_segment(qid, readmit);
     });
     failover_->set_experience_hooks(
-        /*save=*/[this] { return partition::save_experience(decision_maker_); },
+        /*save=*/
+        [this](std::string& out) {
+          partition::save_experience(decision_maker_, out);
+        },
         /*load=*/
         [this](const std::string& payload) {
           (void)partition::load_experience(payload, decision_maker_);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "net/routing.hpp"
-
 namespace pgrid::net {
 
 namespace {
@@ -54,42 +52,16 @@ double FlowModel::expected_max_attempts(std::size_t n, double loss_p,
 
 // --- fidelity selection ----------------------------------------------------
 
-void FlowModel::force_packet(NodeId a, NodeId b) {
-  ++forced_packet_[Network::pair_key(a, b)];
-}
-
-void FlowModel::release_packet(NodeId a, NodeId b) {
-  auto it = forced_packet_.find(Network::pair_key(a, b));
-  if (it == forced_packet_.end()) return;
-  if (--it->second == 0) forced_packet_.erase(it);
-}
-
-bool FlowModel::packet_forced(NodeId a, NodeId b) const {
-  return !forced_packet_.empty() &&
-         forced_packet_.count(Network::pair_key(a, b)) > 0;
-}
-
-bool FlowModel::hop_eligible(NodeId a, NodeId b) const {
-  // An armed injector's drops/duplicates/jitter are per-transmit effects
-  // the analytic tier cannot reproduce; chaos forces packet fidelity.
-  if (network_.fault_injector() != nullptr) return false;
-  return !packet_forced(a, b);
+bool FlowModel::hop_eligible(NodeId /*a*/, NodeId /*b*/) const {
+  return !chaos_armed();
 }
 
 bool FlowModel::route_eligible(const std::vector<NodeId>& route) const {
-  if (route.size() < 2) return false;
-  for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (!hop_eligible(route[i], route[i + 1])) return false;
-  }
-  return true;
+  return route.size() >= 2 && !chaos_armed();
 }
 
-bool FlowModel::tree_eligible(const SinkTree& tree) const {
-  for (NodeId id : tree.bfs_order()) {
-    if (id == tree.sink()) continue;
-    if (!hop_eligible(id, tree.parent(id))) return false;
-  }
-  return true;
+bool FlowModel::tree_eligible(const SinkTree& /*tree*/) const {
+  return !chaos_armed();
 }
 
 // --- analytic service ------------------------------------------------------

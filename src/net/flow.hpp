@@ -16,10 +16,10 @@
 //     event fires the completion callback.
 //   - Links are contention-free, exactly as in the packet tier, so the two
 //     tiers stay calibrated against each other.
-//   - Packet-forced links fall back to the packet tier: the ReliableChannel
-//     marks every link its in-flight transfers occupy, and an installed
-//     FaultInjector forces the whole deployment, so chaos/reliability
-//     semantics stay exact where they matter.
+//   - Fidelity: an installed FaultInjector forces the whole deployment to
+//     the packet tier, and a ReliableChannel routes everything it carries
+//     packet-level (its senders never reach send_route), so chaos and
+//     reliability semantics stay exact where they matter.
 //   - Flow plans (per-hop expectations for a (src, dst, bytes) triple) are
 //     cached under the same (topology, liveness) version discipline as the
 //     RouteCache: mobility, churn, chaos installation and battery death all
@@ -97,24 +97,16 @@ class FlowModel {
 
   // --- fidelity selection --------------------------------------------------
 
-  /// Forces a link to the packet tier while any holder needs it (counted,
-  /// so overlapping holders compose).  The ReliableChannel marks the links
-  /// of its in-flight transfers this way.
-  void force_packet(NodeId a, NodeId b);
-  void release_packet(NodeId a, NodeId b);
-  bool packet_forced(NodeId a, NodeId b) const;
-  /// Links currently held at the packet tier by at least one holder.  Every
-  /// reliable transfer releases its holds on completion, so a drained run
-  /// must read zero here — the load test's force-packet leak check.
-  std::size_t forced_link_count() const { return forced_packet_.size(); }
-
-  /// May hop a->b be served analytically right now?  Requires no armed
-  /// FaultInjector and the link not packet-forced.
+  /// May hop a->b be served analytically right now?  One rule for every
+  /// hop: not while a FaultInjector is armed, since chaos forces packet
+  /// fidelity deployment-wide.  Reliable traffic never asks: with a
+  /// ReliableChannel installed every sender takes the channel's
+  /// packet-level branch.
   bool hop_eligible(NodeId a, NodeId b) const;
-  /// Every consecutive hop of `route` is eligible (>= 2 nodes required).
+  /// Every hop of `route` is eligible (>= 2 nodes required).
   bool route_eligible(const std::vector<NodeId>& route) const;
-  /// Every parent edge of the tree's reachable nodes is eligible — the
-  /// gate for the sensornet's whole-subtree analytic epoch.
+  /// Every parent edge of the tree is eligible — the gate for the
+  /// sensornet's whole-subtree analytic epoch.
   bool tree_eligible(const SinkTree& tree) const;
 
   // --- analytic service ----------------------------------------------------
@@ -181,6 +173,9 @@ class FlowModel {
   /// Most flow plans cached at once.
   static constexpr std::size_t kPlanCacheCapacity = 4096;
 
+  /// An armed injector's drops/duplicates/jitter are per-transmit effects
+  /// the analytic tier cannot reproduce.
+  bool chaos_armed() const { return network_.fault_injector() != nullptr; }
   static std::uint64_t plan_key(NodeId src, NodeId dst, std::uint64_t bytes);
   /// Synchronizes the plan cache with the network's (topology, liveness)
   /// versions — the exact RouteCache discipline, so mobility/churn/chaos/
@@ -213,7 +208,6 @@ class FlowModel {
   common::Rng rng_;
   FlowStats stats_;
   ClosedForms closed_forms_;
-  std::unordered_map<std::uint64_t, std::uint32_t> forced_packet_;
   std::unordered_map<std::uint64_t, FlowPlan> plans_;
   std::uint64_t plan_topology_version_ = 0;
   std::uint64_t plan_liveness_version_ = 0;

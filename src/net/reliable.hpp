@@ -31,7 +31,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -307,7 +306,19 @@ class ReliableChannel {
   Network& network() { return network_; }
   void set_delivery_probe(DeliveryProbe probe) { probe_ = std::move(probe); }
 
+  /// Transfers accepted but not yet finished (window-queued ones included).
+  /// A drained simulation reads zero: every transfer ends in finish().
+  std::size_t in_flight() const { return slab_.size() - free_.size(); }
+  /// Transfer slots held: the in-flight high-water mark since the channel
+  /// last drained (then at most kIdleSlots).  Finished transfers return
+  /// their slot to a free list and later sends reuse it.
+  std::size_t transfer_slots() const { return slab_.size(); }
+  /// Slots a drained channel keeps for its next sends.
+  static constexpr std::size_t kIdleSlots = 8;
+
  private:
+  /// One message's state machine, living in a slab slot from acceptance to
+  /// finish().  Recycled slots keep their `route` / `accepted` capacity.
   struct Transfer {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
@@ -317,36 +328,39 @@ class ReliableChannel {
     DeliverCallback done;
     telemetry::TraceId trace = 0;
     std::vector<NodeId> route;
-    std::size_t hop = 0;      ///< index of the node currently holding the msg
-    std::size_t attempt = 0;  ///< data/ACK cycles tried on the current hop
-    std::size_t reroutes = 0;
+    std::uint32_t hop = 0;      ///< index of the node currently holding it
+    std::uint32_t attempt = 0;  ///< data/ACK cycles tried on the current hop
+    std::uint32_t reroutes = 0;
     bool single_hop = false;  ///< acked_transmit: fixed route, no reroute
-    std::uint64_t pair = 0;   ///< window key (directed src->dst)
-    /// Links currently held packet-forced in the flow model (flow traffic
-    /// must not skim links whose ACK/retransmit semantics are in flight).
-    std::vector<NodeId> forced_route;
     /// Receivers that already accepted this payload.  `seq` is unique per
     /// transfer, so this is exactly the (seq, receiver) duplicate set, and
-    /// it dies with the transfer.
+    /// it is cleared when the slot is reused.
     std::vector<NodeId> accepted;
   };
 
+  /// Window key of a routed transfer (directed src->dst).
+  static std::uint64_t pair_key(const Transfer& t) {
+    return (static_cast<std::uint64_t>(t.src) << 32) | t.dst;
+  }
+
   struct PairState {
     std::size_t in_flight = 0;
-    std::deque<std::shared_ptr<Transfer>> waiting;
+    std::deque<Transfer*> waiting;
   };
 
-  void admit_or_queue(const std::shared_ptr<Transfer>& t);
-  void begin(const std::shared_ptr<Transfer>& t);
-  void hop_cycle(const std::shared_ptr<Transfer>& t);
-  void retry_or_abandon(const std::shared_ptr<Transfer>& t);
-  void route_failed(const std::shared_ptr<Transfer>& t);
-  void finish(const std::shared_ptr<Transfer>& t, bool delivered);
-  /// Marks/releases the transfer's current route as packet-forced in the
-  /// installed flow model (no-ops without one).  Counted holds, so
-  /// overlapping transfers compose; re-marking first releases the old route.
-  void mark_route(const std::shared_ptr<Transfer>& t);
-  void unmark_route(const std::shared_ptr<Transfer>& t);
+  /// A free slot reset for a new message (allocates only past the
+  /// high-water mark; std::deque keeps slot addresses stable).
+  Transfer& acquire(NodeId src, NodeId dst, std::uint64_t bytes,
+                    Budget budget, DeliverCallback done);
+  void admit_or_queue(Transfer& t);
+  void begin(Transfer& t);
+  void hop_cycle(Transfer& t);
+  void retry_or_abandon(Transfer& t);
+  void route_failed(Transfer& t);
+  /// The transfer's single exit: frees its window slot, returns it to the
+  /// slab, then fires `done`.  Callers must not touch `t` afterwards
+  /// (`done` may re-enter and reuse the slot).
+  void finish(Transfer& t, bool delivered);
   /// First acceptance of the payload at `node`?  (False => duplicate,
   /// re-ACK only.)
   static bool accept(Transfer& t, NodeId node);
@@ -361,8 +375,8 @@ class ReliableChannel {
   /// remaining route (minimal depth, then the target furthest along the
   /// route).  Returns bridge + remaining suffix, or empty when no splice
   /// exists within the radius.
-  std::vector<NodeId> splice_route(const std::shared_ptr<Transfer>& t,
-                                   NodeId at, sim::SimTime now) const;
+  std::vector<NodeId> splice_route(const Transfer& t, NodeId at,
+                                   sim::SimTime now) const;
 
   Network& network_;
   ReliableConfig config_;
@@ -372,6 +386,8 @@ class ReliableChannel {
   DeliveryProbe probe_;
   std::uint64_t next_seq_ = 1;
   std::map<std::uint64_t, PairState> pairs_;
+  std::deque<Transfer> slab_;
+  std::vector<Transfer*> free_;
 };
 
 }  // namespace pgrid::net

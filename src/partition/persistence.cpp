@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/text_out.hpp"
+
 namespace pgrid::partition {
 
 namespace {
@@ -12,28 +14,45 @@ const query::QueryClass kClasses[] = {query::QueryClass::kSimple,
                                       query::QueryClass::kComplex};
 }  // namespace
 
-std::string save_experience(const DecisionMaker& maker) {
-  std::ostringstream out;
-  out.precision(17);
-  out << kHeader << '\n';
+void save_experience(const DecisionMaker& maker, std::string& out) {
+  out += kHeader;
+  out += '\n';
   for (const auto& sample : maker.samples()) {
-    out << "sample";
-    for (int feature : sample.features) out << ' ' << feature;
-    out << " -> " << sample.label << '\n';
+    out += "sample";
+    for (int feature : sample.features) {
+      out += ' ';
+      common::append_int(out, feature);
+    }
+    out += " -> ";
+    common::append_int(out, sample.label);
+    out += '\n';
   }
   for (auto inner : kClasses) {
     for (auto model : all_models()) {
       const std::size_t energy_n = maker.observations(inner, model);
       const std::size_t response_n = maker.response_observations(inner, model);
       if (energy_n == 0 && response_n == 0) continue;
-      out << "cal " << static_cast<int>(inner) << ' '
-          << static_cast<int>(model) << ' '
-          << maker.energy_calibration(inner, model) << ' ' << energy_n << ' '
-          << maker.response_calibration(inner, model) << ' ' << response_n
-          << '\n';
+      out += "cal ";
+      common::append_int(out, static_cast<int>(inner));
+      out += ' ';
+      common::append_int(out, static_cast<int>(model));
+      out += ' ';
+      common::append_double17(out, maker.energy_calibration(inner, model));
+      out += ' ';
+      common::append_int(out, energy_n);
+      out += ' ';
+      common::append_double17(out, maker.response_calibration(inner, model));
+      out += ' ';
+      common::append_int(out, response_n);
+      out += '\n';
     }
   }
-  return out.str();
+}
+
+std::string save_experience(const DecisionMaker& maker) {
+  std::string out;
+  save_experience(maker, out);
+  return out;
 }
 
 common::Result<std::size_t> load_experience(const std::string& text,

@@ -18,6 +18,9 @@ namespace pgrid::partition {
 /// retrained from the samples on load, which also picks up algorithm
 /// improvements between versions).
 std::string save_experience(const DecisionMaker& maker);
+/// The same image appended to `out` (no iostreams, no intermediate string):
+/// the checkpoint writer embeds it through a reused buffer.
+void save_experience(const DecisionMaker& maker, std::string& out);
 
 /// Restores experience into `maker` (replacing its samples and calibration
 /// state) and retrains the tree when any samples were loaded.  Returns the

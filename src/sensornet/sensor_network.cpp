@@ -59,15 +59,18 @@ double SensorNetwork::sample(net::NodeId sensor, const ScalarField& field,
 
 int SensorNetwork::room_of(net::NodeId node) const {
   if (config_.room_size_m <= 0.0) return 101;
+  // Rooms are numbered on the region's own floor plan, not the world frame.
   const auto& pos = network_.node(node).pos;
-  const int col = std::max(0, static_cast<int>(pos.x / config_.room_size_m));
-  const int row = std::max(0, static_cast<int>(pos.y / config_.room_size_m));
+  const double x = pos.x - config_.origin.x;
+  const double y = pos.y - config_.origin.y;
+  const int col = std::max(0, static_cast<int>(x / config_.room_size_m));
+  const int row = std::max(0, static_cast<int>(y / config_.room_size_m));
   return 100 * (row + 1) + (col + 1);
 }
 
 std::size_t SensorNetwork::floor_of(net::NodeId node) const {
   if (config_.floors <= 1 || config_.floor_height_m <= 0.0) return 0;
-  const double z = network_.node(node).pos.z;
+  const double z = network_.node(node).pos.z - config_.origin.z;
   const auto floor = static_cast<std::size_t>(
       std::max(0.0, z / config_.floor_height_m + 0.5));
   return std::min(floor, config_.floors - 1);
@@ -228,8 +231,8 @@ void SensorNetwork::collect_tree_aggregate(const ScalarField& field,
   // Fidelity dispatch: with a flow model installed and every tree edge
   // eligible, the whole epoch resolves analytically in one event.  The
   // reliable channel keeps the packet path (acked per-hop semantics are
-  // exactly what the analytic tier must not approximate), as does any
-  // tree with a packet-forced or packet-fidelity edge.
+  // exactly what the analytic tier must not approximate), as does every
+  // tree while chaos is armed.
   if (reliable_ == nullptr && network_.flow_model() != nullptr) {
     net::FlowModel& flow = *network_.flow_model();
     if (flow.tree_eligible(tree())) {

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <iomanip>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -270,6 +272,47 @@ inline pgrid::sim::Schedule minimize_schedule(const ScenarioConfig& base,
   return failing;
 }
 
+/// The settings that regenerate a scenario's schedule, as environment
+/// assignments: seed, mix, fault count, sensor count and horizon.
+/// replay_config reads them back.
+inline std::string replay_settings(const ScenarioConfig& config) {
+  std::ostringstream out;
+  out << std::setprecision(17) << "PGRID_CHAOS_SEED=" << config.seed
+      << " PGRID_CHAOS_MIX=" << config.mix.name
+      << " PGRID_CHAOS_FAULTS=" << config.fault_count
+      << " PGRID_CHAOS_SENSORS=" << config.sensor_count
+      << " PGRID_CHAOS_HORIZON_S=" << config.horizon_s;
+  return out.str();
+}
+
+/// Rebuilds a scenario from replay settings looked up by name (getenv in
+/// ChaosReplay.ReplaySeed).  Settings left unset keep the seeded sweeps'
+/// values: 10 faults over 60 s on the default deployment.
+inline ScenarioConfig replay_config(
+    const std::function<const char*(const char*)>& lookup) {
+  ScenarioConfig config;
+  config.fault_count = 10;
+  config.horizon_s = 60.0;
+  if (const char* seed = lookup("PGRID_CHAOS_SEED")) {
+    config.seed = std::strtoull(seed, nullptr, 10);
+  }
+  if (const char* mix = lookup("PGRID_CHAOS_MIX")) {
+    config.mix = pgrid::sim::mix_by_name(mix);
+  }
+  if (const char* faults = lookup("PGRID_CHAOS_FAULTS")) {
+    config.fault_count =
+        static_cast<std::size_t>(std::strtoull(faults, nullptr, 10));
+  }
+  if (const char* sensors = lookup("PGRID_CHAOS_SENSORS")) {
+    config.sensor_count =
+        static_cast<std::size_t>(std::strtoull(sensors, nullptr, 10));
+  }
+  if (const char* horizon = lookup("PGRID_CHAOS_HORIZON_S")) {
+    config.horizon_s = std::strtod(horizon, nullptr);
+  }
+  return config;
+}
+
 /// The exact recipe a developer (or CI log reader) follows to reproduce a
 /// failing scenario.
 inline std::string replay_instructions(const ScenarioConfig& config,
@@ -278,8 +321,7 @@ inline std::string replay_instructions(const ScenarioConfig& config,
   out << "chaos scenario FAILED: seed=" << config.seed << " mix="
       << config.mix.name << " faults=" << config.fault_count << "\n"
       << "replay with:\n"
-      << "  PGRID_CHAOS_SEED=" << config.seed << " PGRID_CHAOS_MIX="
-      << config.mix.name
+      << "  " << replay_settings(config)
       << " ./test_chaos --gtest_filter='ChaosReplay.ReplaySeed'\n"
       << "minimized schedule (" << minimized.size() << " fault(s)):\n"
       << pgrid::sim::format_schedule(minimized);

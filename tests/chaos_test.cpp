@@ -3,6 +3,8 @@
 // ci chaos-smoke step runs, and the forced-violation pipeline (violation ->
 // printed seed -> minimized schedule -> replay).
 #include <cstdlib>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -398,25 +400,62 @@ TEST(ChaosForcedViolation, ReproducesFromSeedAndMinimizedSchedule) {
 // ---- Replay entry point (driven by the printed instructions) -------------
 
 TEST(ChaosReplay, ReplaySeed) {
-  const char* seed_env = std::getenv("PGRID_CHAOS_SEED");
-  if (!seed_env) {
-    GTEST_SKIP() << "set PGRID_CHAOS_SEED (and optionally PGRID_CHAOS_MIX, "
-                    "PGRID_CHAOS_FAULTS) to replay a failing scenario";
+  if (std::getenv("PGRID_CHAOS_SEED") == nullptr) {
+    GTEST_SKIP() << "set the PGRID_CHAOS_* settings a failing sweep prints "
+                    "to replay its scenario";
   }
-  chaos_harness::ScenarioConfig config;
-  config.seed = std::strtoull(seed_env, nullptr, 10);
-  if (const char* mix_env = std::getenv("PGRID_CHAOS_MIX")) {
-    config.mix = sim::mix_by_name(mix_env);
-  }
-  if (const char* faults_env = std::getenv("PGRID_CHAOS_FAULTS")) {
-    config.fault_count =
-        static_cast<std::size_t>(std::strtoul(faults_env, nullptr, 10));
-  }
-  config.horizon_s = 60.0;
+  const auto config = chaos_harness::replay_config(
+      [](const char* name) { return std::getenv(name); });
   const auto result = chaos_harness::run_scenario(config);
   EXPECT_TRUE(result.passed())
       << result.violation_text() << "schedule:\n"
       << sim::format_schedule(result.schedule);
+}
+
+TEST(ChaosReplay, PrintedSettingsRegenerateTheSchedule) {
+  // A scenario off every default: the printed command must carry each
+  // setting that shapes the schedule, or the replay arms a different one.
+  chaos_harness::ScenarioConfig failing;
+  failing.seed = 1000 + 3 * 7919;
+  failing.mix = sim::ChaosMix::partition_storm();
+  failing.fault_count = 7;
+  failing.sensor_count = 49;
+  failing.horizon_s = 45.0;
+  const auto original = chaos_harness::run_scenario(failing);
+  const std::string printed =
+      chaos_harness::replay_instructions(failing, original.schedule);
+
+  std::map<std::string, std::string> env;
+  std::istringstream words(printed);
+  std::string word;
+  while (words >> word) {
+    const auto eq = word.find('=');
+    if (word.rfind("PGRID_CHAOS_", 0) == 0 && eq != std::string::npos) {
+      env[word.substr(0, eq)] = word.substr(eq + 1);
+    }
+  }
+  auto replay_from = [&env] {
+    return chaos_harness::replay_config([&env](const char* name) {
+      const auto it = env.find(name);
+      return it == env.end() ? nullptr : it->second.c_str();
+    });
+  };
+  const auto replayed = chaos_harness::run_scenario(replay_from());
+  EXPECT_EQ(sim::format_schedule(replayed.schedule),
+            sim::format_schedule(original.schedule))
+      << printed;
+
+  // Each carried setting matters: dropping it regenerates another schedule.
+  for (const char* name : {"PGRID_CHAOS_FAULTS", "PGRID_CHAOS_SENSORS",
+                           "PGRID_CHAOS_HORIZON_S"}) {
+    auto kept = env.extract(name);
+    ASSERT_FALSE(kept.empty()) << name << " missing from:\n" << printed;
+    EXPECT_NE(sim::format_schedule(chaos_harness::run_scenario(replay_from())
+                                       .schedule),
+              sim::format_schedule(original.schedule))
+        << "without " << name;
+    env.insert(std::move(kept));
+  }
 }
 
 }  // namespace

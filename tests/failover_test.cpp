@@ -26,8 +26,10 @@
 //    AT the deadline when the station never returns.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -43,6 +45,7 @@
 #include "query/canonical.hpp"
 #include "sim/chaos.hpp"
 #include "sim/simulator.hpp"
+#include "text_oracles.hpp"
 
 namespace pgrid {
 namespace {
@@ -152,6 +155,141 @@ TEST(CheckpointFormat, RandomizedRoundTripSweep) {
     EXPECT_EQ(core::serialize_checkpoint(parsed.value()), image)
         << "trial " << trial;
   }
+}
+
+// The to_chars writer against the iostream writer it replaced: the image
+// bytes are modelled (ledger-charged, shipped for adoption), so they must
+// match byte for byte.
+
+/// Finite doubles at the edges of %.17g formatting.  NaN and +/-inf are
+/// left out: neither parser accepts them (see NonFiniteDoublesDoNotParse).
+std::vector<double> edge_doubles() {
+  return {0.0,
+          -0.0,
+          std::numeric_limits<double>::denorm_min(),
+          -std::numeric_limits<double>::denorm_min(),
+          DBL_MIN,
+          DBL_MAX,
+          -DBL_MAX,
+          0.1,
+          1e-300,
+          1.0,
+          3.0,
+          -42.0,
+          1e16,
+          123456789012345678.0,
+          1.0 / 3.0};
+}
+
+Checkpoint edge_checkpoint(double v) {
+  Checkpoint c = sample_checkpoint();
+  c.taken_at_s = v;
+  QueryCheckpoint& q = c.queries.front();
+  q.epoch_s = v;
+  q.deadline_s = -v;
+  q.started_s = v;
+  for (EpochRecord& e : q.epochs) {
+    e.value = v;
+    e.coverage = v;
+    e.accuracy = -v;
+    e.energy_j = v;
+    e.response_s = v;
+    e.compute_ops = v;
+  }
+  return c;
+}
+
+TEST(CheckpointFormat, WriterMatchesIostreamOracle) {
+  EXPECT_EQ(core::serialize_checkpoint(sample_checkpoint()),
+            text_oracles::serialize_checkpoint(sample_checkpoint()));
+  EXPECT_EQ(core::serialize_checkpoint(Checkpoint{}),
+            text_oracles::serialize_checkpoint(Checkpoint{}));
+  common::Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    Checkpoint c = sample_checkpoint();
+    c.seq = rng.next_u64();
+    c.taken_at_s = rng.uniform(0.0, 1e6);
+    c.queries.front().id = rng.next_u64();
+    c.queries.front().total_epochs = rng.index(1u << 20);
+    c.queries.front().epochs.front().model = static_cast<int>(rng.index(6));
+    c.queries.front().epochs.front().data_bytes = rng.next_u64();
+    c.queries.front().epochs.front().value = rng.normal(0.0, 1e3);
+    c.queries.front().epochs.front().energy_j = rng.exponential(1e-3);
+    EXPECT_EQ(core::serialize_checkpoint(c),
+              text_oracles::serialize_checkpoint(c))
+        << "trial " << trial;
+  }
+}
+
+TEST(CheckpointFormat, EdgeDoublesMatchOracleAndRoundTrip) {
+  for (const double v : edge_doubles()) {
+    const Checkpoint c = edge_checkpoint(v);
+    const std::string image = core::serialize_checkpoint(c);
+    EXPECT_EQ(image, text_oracles::serialize_checkpoint(c)) << v;
+    auto parsed = core::parse_checkpoint(image);
+    ASSERT_TRUE(parsed.ok()) << v << ": " << parsed.error();
+    EXPECT_EQ(parsed.value(), c) << v;
+    EXPECT_EQ(std::signbit(parsed.value().taken_at_s), std::signbit(v))
+        << "the sign of zero survives";
+    EXPECT_EQ(core::serialize_checkpoint(parsed.value()), image) << v;
+  }
+}
+
+TEST(CheckpointFormat, NonFiniteDoublesDoNotParse) {
+  // Why the edge set stops at the finite doubles: both writers print
+  // "nan" / "inf" / "-inf", and the stream extraction behind the parser
+  // rejects all three, so an image carrying one never restores.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const Checkpoint c = edge_checkpoint(v);
+    const std::string image = core::serialize_checkpoint(c);
+    EXPECT_EQ(image, text_oracles::serialize_checkpoint(c));
+    EXPECT_FALSE(core::parse_checkpoint(image).ok()) << v;
+  }
+}
+
+TEST(CheckpointFormat, LiveImageEqualsSerializedSnapshot) {
+  // checkpoint_now writes straight from the live records; the image must
+  // be exactly serialize_checkpoint(build_checkpoint()) at the same instant,
+  // including finalized records left out and the embedded experience.
+  sim::Simulator sim;
+  telemetry::CostLedger ledger(sim);
+  core::FailoverConfig config;
+  config.enabled = true;
+  FailoverManager manager(config, sim, ledger);
+  manager.set_experience_hooks(
+      [](std::string& out) { out += "pgrid-experience-v1\nsample 1 -> 2\n"; },
+      [](const std::string&) {}, [] {});
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    QueryCheckpoint meta;
+    meta.text = "SELECT AVG(temp) FROM sensors EPOCH DURATION 1";
+    meta.total_epochs = 4;
+    meta.deadline_s = 1.0 / 7.0 + i;
+    ids.push_back(manager.register_query(meta));
+  }
+  manager.mark_started(ids[0]);
+  partition::ActualCost cost;
+  cost.ok = true;
+  cost.value = 21.5;
+  cost.coverage = 0.1;
+  cost.energy_j = 1e-300;
+  cost.data_bytes = 4096;
+  ASSERT_TRUE(manager.commit_epoch(ids[0], manager.generation(ids[0]),
+                                   partition::SolutionModel::kTreeAggregate,
+                                   cost));
+  manager.set_finalize(ids[2], [](auto, auto) {}, nullptr);
+  manager.segment_shed(ids[2], manager.generation(ids[2]));  // finalized
+
+  sim.schedule(sim::SimTime::seconds(2.5), [] {});
+  sim.run();
+  manager.checkpoint_now();
+  const Checkpoint snapshot = manager.build_checkpoint();
+  ASSERT_EQ(snapshot.queries.size(), 2u) << "the finalized record is skipped";
+  EXPECT_EQ(manager.last_checkpoint(), core::serialize_checkpoint(snapshot));
+  EXPECT_EQ(manager.last_checkpoint(),
+            text_oracles::serialize_checkpoint(snapshot));
 }
 
 TEST(CheckpointFormat, RejectsEveryTruncation) {

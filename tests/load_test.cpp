@@ -196,8 +196,8 @@ void expect_drained_clean(core::PervasiveGridRuntime& runtime,
     EXPECT_EQ(sharing->active(), 0u);
     EXPECT_EQ(sharing->queue_depth(), 0u) << "leaked admission queue entries";
   }
-  if (auto* flow = runtime.flow_model()) {
-    EXPECT_EQ(flow->forced_link_count(), 0u) << "leaked force-packet holds";
+  if (auto* channel = runtime.reliable_channel()) {
+    EXPECT_EQ(channel->in_flight(), 0u) << "leaked reliable transfers";
   }
 }
 

@@ -3,7 +3,12 @@
 // malformed input.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <limits>
+#include <vector>
+
 #include "partition/persistence.hpp"
+#include "text_oracles.hpp"
 
 namespace pgrid::partition {
 namespace {
@@ -26,6 +31,59 @@ TEST(Persistence, EmptyMakerRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   EXPECT_EQ(loaded.value(), 0u);
   EXPECT_FALSE(restored.tree_trained());
+}
+
+TEST(Persistence, WriterMatchesIostreamOracle) {
+  // The to_chars writer against the iostream writer it replaced, on a
+  // trained learner with every model's calibration observed.
+  DecisionMaker maker;
+  EXPECT_EQ(save_experience(maker), text_oracles::save_experience(maker));
+  const auto p = profile_for_test();
+  for (int i = 0; i < 6; ++i) {
+    maker.add_example(query::QueryClass::kAggregate, query::CostMetric::kNone,
+                      p, SolutionModel::kClusterAggregate);
+    maker.add_example(query::QueryClass::kComplex, query::CostMetric::kTime,
+                      p, SolutionModel::kGridOffload);
+    for (const auto model : all_models()) {
+      const auto estimate =
+          estimate_cost(p, query::QueryClass::kComplex, model);
+      maker.observe(query::QueryClass::kComplex, model, estimate,
+                    estimate.energy_j * (1.0 + 0.1 * i),
+                    estimate.response_s / (3.0 + i));
+    }
+  }
+  maker.retrain();
+  EXPECT_EQ(save_experience(maker), text_oracles::save_experience(maker));
+  std::string appended = "prefix:";
+  save_experience(maker, appended);
+  EXPECT_EQ(appended, "prefix:" + save_experience(maker))
+      << "the appending form writes the same image after what is there";
+}
+
+TEST(Persistence, EdgeCalibrationsMatchOracleAndRoundTrip) {
+  // Finite edge doubles only: load_experience's stream extraction rejects
+  // "nan" and "inf", so non-finite calibrations never reload.
+  for (const double v : {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                         DBL_MAX, 0.1, 1e-300, 7.0, -2.0}) {
+    DecisionMaker maker;
+    maker.restore_calibration(query::QueryClass::kAggregate,
+                              SolutionModel::kTreeAggregate, v, 3, -v, 5);
+    const std::string text = save_experience(maker);
+    EXPECT_EQ(text, text_oracles::save_experience(maker)) << v;
+    DecisionMaker restored;
+    ASSERT_TRUE(load_experience(text, restored).ok()) << v;
+    EXPECT_EQ(save_experience(restored), text) << v;
+  }
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    DecisionMaker maker;
+    maker.restore_calibration(query::QueryClass::kAggregate,
+                              SolutionModel::kTreeAggregate, v, 3, 1.0, 5);
+    const std::string text = save_experience(maker);
+    EXPECT_EQ(text, text_oracles::save_experience(maker));
+    DecisionMaker restored;
+    EXPECT_FALSE(load_experience(text, restored).ok()) << v;
+  }
 }
 
 TEST(Persistence, SamplesAndTreeSurviveRoundTrip) {

@@ -349,25 +349,40 @@ TEST(FlowKillSwitch, FallbacksAreCounted) {
 // ---------------------------------------------------------------------------
 // Fidelity selection mechanics.
 
-TEST(FlowFidelity, ForcePacketHoldsAreCountedAndSymmetric) {
-  core::PervasiveGridRuntime rt(small_config(16, true));
-  net::FlowModel& flow = *rt.flow_model();
+TEST(FlowFidelity, ReliableRuntimeNeverReachesTheFlowTier) {
+  // With a ReliableChannel installed every sender (TAG, reads, clusters,
+  // the agent platform) takes the channel's packet-level branch, so the
+  // flow tier has nothing left to serve — which is why the channel holds
+  // no per-link packet-fidelity marks.  Pinned across every collection
+  // model and an agent round trip: after construction the flow counters
+  // never move.
+  core::RuntimeConfig config = small_config(25, true);
+  config.reliability.enabled = true;
+  core::PervasiveGridRuntime rt(config);
+  ASSERT_NE(rt.flow_model(), nullptr);
+  ASSERT_NE(rt.reliable_channel(), nullptr);
+  const net::FlowStats base = rt.flow_model()->stats();
   const auto& ids = rt.sensors().sensors();
-  const net::NodeId a = ids[0];
-  const net::NodeId b = ids[1];
-  ASSERT_TRUE(rt.network().connected(a, b));
-  EXPECT_TRUE(flow.hop_eligible(a, b));
+  EXPECT_TRUE(rt.flow_model()->hop_eligible(ids[0], ids[1]))
+      << "without an armed injector every hop is flow-eligible";
 
-  flow.force_packet(a, b);
-  flow.force_packet(b, a);  // second hold, reversed orientation
-  EXPECT_TRUE(flow.packet_forced(a, b));
-  EXPECT_TRUE(flow.packet_forced(b, a));
-  EXPECT_FALSE(flow.hop_eligible(a, b));
-  flow.release_packet(a, b);
-  EXPECT_TRUE(flow.packet_forced(a, b)) << "one hold remains";
-  flow.release_packet(b, a);
-  EXPECT_FALSE(flow.packet_forced(a, b));
-  EXPECT_TRUE(flow.hop_eligible(a, b));
+  collect_pair(rt);
+  for (const auto model : {partition::SolutionModel::kAllToBase,
+                           partition::SolutionModel::kClusterAggregate,
+                           partition::SolutionModel::kTreeAggregate,
+                           partition::SolutionModel::kGridOffload}) {
+    const auto outcome =
+        rt.submit_and_run("SELECT AVG(temp) FROM sensors", model);
+    EXPECT_TRUE(outcome.ok) << partition::to_string(model);
+  }
+  rt.simulator().run();
+
+  const net::FlowStats& after = rt.flow_model()->stats();
+  EXPECT_EQ(after.flows, base.flows);
+  EXPECT_EQ(after.tree_epochs, base.tree_epochs);
+  EXPECT_EQ(after.packet_fallbacks, base.packet_fallbacks);
+  EXPECT_GT(rt.reliable_channel()->stats().delivered, 0u);
+  EXPECT_EQ(rt.reliable_channel()->in_flight(), 0u);
 }
 
 // ---------------------------------------------------------------------------

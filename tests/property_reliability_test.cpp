@@ -9,11 +9,16 @@
 //  3. Breakers: an open breaker never admits a send until the half-open
 //     probe succeeds; failed probes escalate the cooling period.
 //
-// Budget semantics and window queueing ride along as unit properties.
+// Budget semantics and window queueing ride along as unit properties, as
+// does the channel's transfer slab: every exit path releases a transfer's
+// slot exactly once, and finished slots are reused.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "core/runtime.hpp"
 #include "net/network.hpp"
 #include "net/reliable.hpp"
+#include "net/routing.hpp"
 #include "sim/chaos.hpp"
 #include "sim/invariants.hpp"
 #include "sim/simulator.hpp"
@@ -443,6 +449,178 @@ TEST(ReliabilityProperty, OpenLinkBreakerNeverAdmitsUntilProbeSucceeds) {
   EXPECT_EQ(channel.link_breakers().open_count(sim.now()), 0u);
   EXPECT_GE(channel.stats().reroutes, 1u)
       << "the open breaker re-routes (and finding nothing, fails)";
+}
+
+// ---------------------------------------------------------------------------
+// Transfer slab: one slot per in-flight transfer, released exactly once
+// ---------------------------------------------------------------------------
+
+/// Drops every frame on the listed links without changing the topology, so
+/// route discovery still offers them and only the transport sees the loss.
+class DeadLinks : public net::FaultInjector {
+ public:
+  std::set<std::uint64_t> dead;
+  bool severed(NodeId, NodeId) const override { return false; }
+  HopEffect on_transmit(NodeId from, NodeId to, std::uint64_t) override {
+    HopEffect effect;
+    effect.drop = dead.count(net::link_key(from, to)) > 0;
+    return effect;
+  }
+};
+
+struct SlabRun {
+  net::ReliableStats stats;
+  net::BreakerStats breakers;
+  std::size_t messages = 0;
+  std::vector<int> done_counts;
+  std::vector<bool> done_values;
+  std::map<std::uint64_t, int> probes;  ///< seq -> destination acceptances
+  std::size_t peak_slots = 0;
+  std::size_t slots_at_drain = 0;
+  std::size_t in_flight_at_drain = 0;
+};
+
+/// Drives one channel through every way a transfer can end: window
+/// queueing, a dead link repaired by a splice (repair_depth > 0) or a full
+/// reroute (repair_depth 0), budget expiry mid-route, a breaker
+/// short-circuit, and a long chain of sequential acked hops.
+SlabRun run_slab_paths(std::size_t repair_depth) {
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  const auto nodes = build_mesh(net);
+  DeadLinks links;
+  net.set_fault_injector(&links);
+  net::ReliableConfig config;
+  config.window = 1;
+  config.repair_depth = repair_depth;
+  net::ReliableChannel channel(net, config, common::Rng(5));
+
+  SlabRun run;
+  channel.set_delivery_probe(
+      [&](NodeId, std::uint64_t seq) { ++run.probes[seq]; });
+  auto track = [&]() -> net::ReliableChannel::DeliverCallback {
+    const std::size_t i = run.done_counts.size();
+    run.done_counts.push_back(0);
+    run.done_values.push_back(false);
+    run.peak_slots = std::max(run.peak_slots, channel.transfer_slots());
+    return [&run, &channel, i](bool ok) {
+      ++run.done_counts[i];
+      run.done_values[i] = ok;
+      run.peak_slots = std::max(run.peak_slots, channel.transfer_slots());
+    };
+  };
+  const NodeId front = nodes.front();
+  const NodeId back = nodes.back();
+
+  // Window queueing: window 1 defers two of three same-pair sends.
+  for (int i = 0; i < 3; ++i) {
+    channel.unicast(front, back, 64, Budget::unlimited(), track());
+  }
+  // A dead link on the route: the hop exhausts its attempts, then a splice
+  // (or a full breaker-aware reroute) carries the message around it.
+  sim.schedule_at(sim::SimTime::seconds(20.0), [&] {
+    const auto route = net::cached_shortest_path(net, front, back);
+    links.dead.insert(net::link_key(route[1], route[2]));
+    channel.unicast(front, back, 64, Budget::unlimited(), track());
+  });
+  sim.schedule_at(sim::SimTime::seconds(60.0), [&] { links.dead.clear(); });
+  // Budget expiry mid-route: 8 hops cannot finish in a millisecond.
+  sim.schedule_at(sim::SimTime::seconds(70.0), [&] {
+    channel.unicast(front, back, 64,
+                    Budget::until(sim.now() + sim::SimTime::milliseconds(1)),
+                    track());
+  });
+  // Breaker short-circuit: an open breaker refuses the single hop.
+  sim.schedule_at(sim::SimTime::seconds(80.0), [&] {
+    const std::uint64_t key = net::link_key(nodes[0], nodes[1]);
+    for (int i = 0; i < 3; ++i) {
+      channel.link_breakers().record_failure(key, sim.now());
+    }
+    channel.acked_transmit(nodes[0], nodes[1], 32, Budget::unlimited(),
+                           track());
+  });
+  // Sequential acked hops: each completion sends the next, so one slot
+  // serves the whole chain.
+  std::function<void(int)> chain = [&](int left) {
+    auto done = track();
+    channel.acked_transmit(nodes[5], nodes[6], 32, Budget::unlimited(),
+                           [&, left, done = std::move(done)](bool ok) mutable {
+                             done(ok);
+                             if (left > 1) chain(left - 1);
+                           });
+  };
+  sim.schedule_at(sim::SimTime::seconds(200.0), [&] { chain(20); });
+
+  sim.run();
+  run.stats = channel.stats();
+  run.breakers = channel.link_breakers().stats();
+  run.messages = run.done_counts.size();
+  run.slots_at_drain = channel.transfer_slots();
+  run.in_flight_at_drain = channel.in_flight();
+  return run;
+}
+
+TEST(TransferSlab, ExactlyOnceThroughEveryExitPathWithSlotsReused) {
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE(depth == 0 ? "full reroute" : "splice repair");
+    const SlabRun run = run_slab_paths(depth);
+    ASSERT_EQ(run.messages, 26u);
+    // Every exit path was taken.
+    EXPECT_EQ(run.stats.queued, 2u);
+    EXPECT_GE(run.stats.reroutes, 1u);
+    if (depth > 0) {
+      EXPECT_GE(run.stats.local_repairs, 1u);
+    } else {
+      EXPECT_EQ(run.stats.local_repairs, 0u);
+    }
+    EXPECT_GE(run.stats.expired, 1u);
+    EXPECT_GE(run.breakers.short_circuits, 1u);
+    // Exactly once: one completion per message, at most one destination
+    // acceptance per transfer, and every delivered message accepted once.
+    std::size_t delivered = 0;
+    for (std::size_t i = 0; i < run.messages; ++i) {
+      EXPECT_EQ(run.done_counts[i], 1) << "message " << i;
+      delivered += run.done_values[i] ? 1 : 0;
+    }
+    for (const auto& [seq, count] : run.probes) {
+      EXPECT_EQ(count, 1) << "seq " << seq;
+    }
+    EXPECT_EQ(run.probes.size(), delivered);
+    EXPECT_EQ(run.stats.delivered, delivered);
+    EXPECT_EQ(run.stats.delivered + run.stats.failed, run.messages);
+    EXPECT_FALSE(run.done_values[4]) << "the expired budget fails";
+    EXPECT_FALSE(run.done_values[5]) << "the short-circuited hop fails";
+    // Slots visibly reused: 26 messages never needed more than the three
+    // window-queued sends held at once, and the drained channel holds none
+    // in flight.
+    EXPECT_LE(run.peak_slots, 3u);
+    EXPECT_EQ(run.in_flight_at_drain, 0u);
+    EXPECT_LE(run.slots_at_drain, net::ReliableChannel::kIdleSlots);
+  }
+}
+
+TEST(TransferSlab, DrainedChannelShrinksToIdleSlots) {
+  // A burst wider than the idle reserve grows the slab to its high-water
+  // mark; once the channel drains the slab gives the surplus back.
+  sim::Simulator sim;
+  net::Network net(sim, common::Rng(99));
+  const auto nodes = build_mesh(net);
+  net::ReliableChannel channel(net, {}, common::Rng(5));
+  std::size_t peak = 0;
+  int delivered = 0;
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    channel.acked_transmit(nodes[i], nodes[i + 1], 32, Budget::unlimited(),
+                           [&](bool ok) {
+                             peak = std::max(peak, channel.transfer_slots());
+                             delivered += ok ? 1 : 0;
+                           });
+  }
+  EXPECT_EQ(channel.in_flight(), nodes.size() - 1);
+  sim.run();
+  EXPECT_EQ(peak, nodes.size() - 1);
+  EXPECT_EQ(channel.in_flight(), 0u);
+  EXPECT_EQ(channel.transfer_slots(), net::ReliableChannel::kIdleSlots);
+  EXPECT_GT(delivered, 0);
 }
 
 // ---------------------------------------------------------------------------

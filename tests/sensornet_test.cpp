@@ -221,6 +221,36 @@ TEST(SensorPlacement, WorldPlacementMatchesAddThenMove) {
     }
     EXPECT_TRUE(net.node(snet.base_station()).pos ==
                 config.base_pos + config.origin);
+
+    // Floor and room numbers belong to the region's own plan: the same
+    // deployment laid out at the world origin numbers every node alike.
+    SensorNetworkConfig local = config;
+    local.origin = {0.0, 0.0, 0.0};
+    sim::Simulator local_sim;
+    net::Network local_net(local_sim, common::Rng(1));
+    SensorNetwork at_origin(local_net, local, common::Rng(5));
+    ASSERT_EQ(at_origin.sensors(), snet.sensors());
+    std::vector<std::size_t> per_floor(config.floors, 0);
+    for (const net::NodeId id : expected) {
+      EXPECT_EQ(snet.floor_of(id), at_origin.floor_of(id))
+          << (grid ? "grid" : "random") << " sensor " << id;
+      EXPECT_EQ(snet.room_of(id), at_origin.room_of(id))
+          << (grid ? "grid" : "random") << " sensor " << id;
+      ++per_floor[snet.floor_of(id)];
+    }
+    for (std::size_t floor = 0; floor < config.floors; ++floor) {
+      EXPECT_EQ(per_floor[floor], config.sensor_count) << "floor " << floor;
+    }
+    // Pinned: the first sensor sits in the plan's first room on the ground
+    // floor, the last one on the top floor (90 x 70 m at 50 m rooms spans
+    // rooms 101..202).
+    EXPECT_EQ(snet.floor_of(expected.front()), 0u);
+    EXPECT_EQ(snet.room_of(expected.front()), 101);
+    EXPECT_EQ(snet.floor_of(expected.back()), config.floors - 1);
+    const int last_room = snet.room_of(expected.back());
+    EXPECT_TRUE(last_room == 101 || last_room == 102 || last_room == 201 ||
+                last_room == 202)
+        << last_room;
   }
 }
 
